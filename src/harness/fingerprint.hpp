@@ -25,8 +25,8 @@
  * The guarantee the result cache leans on (docs/PERF.md): two runs with
  * equal fingerprints produce bit-identical KernelStats. The determinism
  * contracts shipped with the sweep harness make that literal — results
- * are byte-identical across --jobs, --sm-threads and idle-skip, which
- * is exactly why those execution knobs are excluded from the hash.
+ * are byte-identical across --jobs and idle-skip, which is exactly why
+ * those execution knobs are excluded from the hash.
  */
 
 namespace bowsim {
@@ -79,10 +79,11 @@ class FingerprintHasher {
 };
 
 /**
- * Hashes every result-relevant GpuConfig field into @p h. The only
- * exclusions are the three execution knobs whose non-effect on results
- * is contractual and differentially tested (docs/PERF.md): idleSkip,
- * smThreads and metricsInterval. Everything else — including fields
+ * Hashes every result-relevant GpuConfig field into @p h. The
+ * exclusions are the execution knobs whose non-effect on results is
+ * contractual and differentially tested (docs/PERF.md): idleSkip and
+ * metricsInterval, plus the report-shaping syncTopN and
+ * syncStormWindow (docs/SYNC.md). Everything else — including fields
  * that only gate optional stats collection (collectStallBreakdown,
  * collectSpinCycles), since they change what statsToJson emits — is
  * included. A field-coverage guard in fingerprint.cpp fails the build
@@ -118,8 +119,8 @@ struct PointKey {
  *    assembled programs of makeBenchmark(kernel, scale));
  *  - gpuBody points with a declared cacheSalt hash (schema version,
  *    config, salt, scale);
- *  - opaque `body` points and gpuBody points without a salt are not
- *    cacheable (the harness counts them as bypassed).
+ *  - gpuBody points without a salt are not cacheable (the harness
+ *    counts them as bypassed).
  * Side outputs (tracePath/metricsPath) are the runner's concern: such
  * points get a key here but are bypassed at dispatch, because a cache
  * hit would not regenerate the side files.

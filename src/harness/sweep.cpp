@@ -41,7 +41,7 @@ runPoint(const SweepPoint &point)
 {
     SweepResult r;
     std::unique_ptr<trace::RingRecorder> recorder;
-    if (!point.tracePath.empty() && !point.body) {
+    if (!point.tracePath.empty()) {
         recorder = std::make_unique<trace::RingRecorder>();
         if (!point.traceFilter.empty()) {
             std::uint32_t mask = 0;
@@ -53,34 +53,28 @@ runPoint(const SweepPoint &point)
         }
     }
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (!point.metricsPath.empty() && !point.body) {
+    if (!point.metricsPath.empty()) {
         const Cycle interval =
             point.cfg.metricsInterval ? point.cfg.metricsInterval : 1000;
         sampler = std::make_unique<metrics::MetricsSampler>(
             interval, point.metricsPath);
     }
     std::unique_ptr<syncprof::SyncProfileRegistry> syncreg;
-    if ((!point.syncReportPath.empty() || point.syncProfile) &&
-        !point.body) {
+    if (!point.syncReportPath.empty() || point.syncProfile) {
         syncreg = std::make_unique<syncprof::SyncProfileRegistry>(
             point.cfg.syncTopN, point.cfg.syncStormWindow);
     }
     try {
-        if (point.body) {
-            r.stats = point.body();
-        } else {
-            Gpu gpu(point.cfg);
-            if (recorder)
-                gpu.setTraceSink(recorder.get());
-            if (sampler)
-                gpu.setMetrics(sampler.get());
-            if (syncreg)
-                gpu.setSyncProf(syncreg.get());
-            r.stats = point.gpuBody
-                          ? point.gpuBody(gpu)
-                          : makeBenchmark(point.kernel, point.scale)
-                                ->run(gpu);
-        }
+        Gpu gpu(point.cfg);
+        if (recorder)
+            gpu.setTraceSink(recorder.get());
+        if (sampler)
+            gpu.setMetrics(sampler.get());
+        if (syncreg)
+            gpu.setSyncProf(syncreg.get());
+        r.stats = point.gpuBody
+                      ? point.gpuBody(gpu)
+                      : makeBenchmark(point.kernel, point.scale)->run(gpu);
         r.ok = true;
     } catch (const std::exception &e) {
         r.error = e.what();
@@ -327,8 +321,8 @@ statsToJson(const KernelStats &s)
         sched.set("spinning_warp_cycles", s.spinningWarpCycles);
     sched.set("delay_limit_cycle_sum", s.delayLimitCycleSum);
     sched.set("sm_cycles", s.smCycles);
-    // Per-SM peak residency (empty for custom-body points, which build
-    // their stats by hand).
+    // Per-SM peak residency (empty for gpuBody points that build their
+    // stats by hand).
     if (!s.peakResidentPerSm.empty()) {
         Json peaks = Json::array();
         for (std::uint64_t p : s.peakResidentPerSm)
@@ -564,7 +558,6 @@ configToJson(const GpuConfig &cfg)
         j.set("switch_latency", cfg.switchLatency);
     }
     j.set("idle_skip", cfg.idleSkip);
-    j.set("sm_threads", cfg.smThreads);
     j.set("metrics_interval", cfg.metricsInterval);
     j.set("atomic_service_period", cfg.atomicServicePeriod);
     j.set("exec_mode", toString(cfg.execMode));

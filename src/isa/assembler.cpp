@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -469,7 +470,16 @@ class Parser {
             }
             if (body.size() > 1 && (body[0] == 'r' || body[0] == 'p') &&
                 std::isdigit(static_cast<unsigned char>(body[1]))) {
-                int idx = std::stoi(body.substr(1));
+                // The whole index must parse: "%r1abc" is not %r1, and
+                // an index past int's range is an error, not a throw of
+                // some other type.
+                int idx = 0;
+                const char *first = body.data() + 1;
+                const char *last = body.data() + body.size();
+                const auto [end, ec] = std::from_chars(first, last, idx);
+                if (ec != std::errc() || end != last)
+                    fatal("line ", line_, ": bad register index in '", tok,
+                          "'");
                 return body[0] == 'r' ? Operand::reg(idx)
                                       : Operand::pred(idx);
             }

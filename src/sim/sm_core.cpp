@@ -51,11 +51,8 @@ maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
     return max_ctas;
 }
 
-SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
-               KernelStats *shard)
-    : id_(id), cfg_(cfg), launch_(launch),
-      stats_(shard ? *shard : launch.stats), staging_(queue_),
-      deferCommit_(launch.deferCommit),
+SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
+    : id_(id), cfg_(cfg), launch_(launch), stats_(launch.stats),
       ldst_(cfg, id, *launch.memsys, stats_),
       backoff_(cfg.bows), maxWarps_(cfg.maxWarpsPerCore())
 {
@@ -92,23 +89,15 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
     cawaAccounting_ = cfg.scheduler == SchedulerKind::CAWA;
     spinAccounting_ = cfg.collectSpinCycles;
     // Sync profiling mirrors tracing: a launch-wide handle, one cached
-    // bool on the issue-path branch sites. Registry calls always run on
-    // the coordinator thread — the functional hooks fire at the enqueue
-    // point in inline mode and at the commit drain in phase-split mode,
-    // the BOWS/DDOS transitions are staged as SyncEvent entries.
+    // bool on the issue-path branch sites.
     sync_ = launch_.sync;
     syncOn_ = sync_.enabled();
 
     // Tracing and stall attribution ride the same launch-wide handle.
     // Sizing the stall table here (cores are built serially) keeps
     // Gpu::launch() agnostic and covers direct SmCore construction.
-    // In deferCommit mode the core's own handle points at the staging
-    // sink, so every SM-side emission lands in the commit queue and is
-    // forwarded to the real sink in drain order.
     tracer_ = launch_.trace;
     stallAccounting_ = tracer_.enabled() || cfg.collectStallBreakdown;
-    if (deferCommit_ && tracer_.enabled())
-        tracer_ = trace::Tracer(&staging_);
     if (stallAccounting_) {
         KernelStats &st = stats_;
         st.stallWarpsPerSm = maxWarps_;
@@ -128,8 +117,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch,
     // always-on (profile reports and metrics need it unconditionally).
     if (stats_.peakResidentPerSm.size() < cfg.numCores)
         stats_.peakResidentPerSm.resize(cfg.numCores, 0);
-    if (deferCommit_)
-        ldst_.setCommitQueue(&queue_);
     ldst_.setTrace(tracer_);
     ddos_->setTrace(tracer_, id_);
     backoff_.setTrace(tracer_, id_);
@@ -589,28 +576,6 @@ SmCore::executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
                 std::memcpy(cta.shared.data() + a, &v, inst.size);
             }
         }
-    } else if (deferCommit_) {
-        // Phase-split mode: stage the functional op for the commit
-        // phase. The lock-acquire flag is PC-derived, so it is captured
-        // now — the warp's PC advances before the queue drains.
-        CommitEntry::Kind kind;
-        bool acquire = false;
-        switch (inst.op) {
-          case Opcode::Ld:
-            kind = CommitEntry::Kind::GlobalLoad;
-            break;
-          case Opcode::St:
-            kind = CommitEntry::Kind::GlobalStore;
-            break;
-          case Opcode::Atom:
-            kind = CommitEntry::Kind::GlobalAtomic;
-            acquire = (launch_.pcFlags[w.stack().pc()] &
-                       LaunchState::kPcLockAcquire) != 0;
-            break;
-          default:
-            panic("executeMemory on non-memory opcode");
-        }
-        queue_.pushGlobal(kind, &w, &inst, exec, addrs, acquire);
     } else {
         switch (inst.op) {
           case Opcode::Ld:
@@ -638,8 +603,6 @@ void
 SmCore::execGlobalLoad(Warp &w, const Instruction &inst, LaneMask exec,
                        const std::array<Addr, kWarpSize> &addrs)
 {
-    // Safe to defer to the cycle barrier: the scoreboard reserve at
-    // issue prevents any same-cycle read of the destination register.
     MemorySpace &mem = *launch_.mem;
     for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
         const unsigned lane = firstLane(rest);
@@ -884,80 +847,21 @@ SmCore::refreshWarpMask(const Warp &w)
         unitBackedOff_[u] &= ~bit;
 }
 
-bool
-SmCore::cycle(Cycle now)
-{
-    dispatch(now);
-    const bool issued = compute(now);
-    commit(now);
-    return issued;
-}
-
-void
-SmCore::dispatch(Cycle now)
-{
-    now_ = now;
-    tryLaunchCtas();
-}
-
 void
 SmCore::noteSyncTransition(trace::EventKind kind, Warp &w, Cycle now)
 {
     const std::uint64_t key = launch_.warpKeyBase + w.age() + 1;
-    if (deferCommit_) {
-        trace::TraceEvent ev;
-        ev.cycle = now;
-        ev.sm = id_;
-        ev.warp = static_cast<std::int32_t>(w.id());
-        ev.kind = kind;
-        ev.a0 = key;
-        queue_.pushSyncEvent(ev);
-    } else if (kind == trace::EventKind::BackoffEnter) {
+    if (kind == trace::EventKind::BackoffEnter)
         sync_.onBackoffEnter(key, now);
-    } else {
+    else
         sync_.onSibConfirm(key, now);
-    }
-}
-
-void
-SmCore::commit(Cycle now)
-{
-    if (!deferCommit_ || queue_.empty())
-        return;
-    now_ = now;  // executeAtomicLane stamps profiler events with now_
-    for (const CommitEntry &e : queue_.entries()) {
-        switch (e.kind) {
-          case CommitEntry::Kind::Trace:
-            launch_.trace.record(e.ev);
-            break;
-          case CommitEntry::Kind::SyncEvent:
-            if (e.ev.kind == trace::EventKind::BackoffEnter)
-                sync_.onBackoffEnter(e.ev.a0, e.ev.cycle);
-            else
-                sync_.onSibConfirm(e.ev.a0, e.ev.cycle);
-            break;
-          case CommitEntry::Kind::MemRequest:
-            ldst_.commitRequest(e.req, now);
-            break;
-          case CommitEntry::Kind::GlobalLoad:
-            execGlobalLoad(*e.warp, *e.inst, e.exec, e.addrs);
-            break;
-          case CommitEntry::Kind::GlobalStore:
-            execGlobalStore(*e.warp, *e.inst, e.exec, e.addrs);
-            break;
-          case CommitEntry::Kind::GlobalAtomic:
-            execGlobalAtomic(*e.warp, *e.inst, e.exec, e.addrs,
-                             e.acquire);
-            break;
-        }
-    }
-    queue_.clear();
 }
 
 bool
-SmCore::compute(Cycle now)
+SmCore::cycle(Cycle now)
 {
     now_ = now;
+    tryLaunchCtas();
 
     // 1. Memory and ALU writebacks due this cycle.
     const bool tracing = tracer_.enabled();

@@ -227,6 +227,27 @@ TEST(Assembler, ErrorOnBadImmediate)
                  FatalError);
 }
 
+TEST(Assembler, ErrorOnMalformedRegisterIndex)
+{
+    // Out-of-range indices and trailing junk must both surface as
+    // FatalError, for general registers and predicates alike.
+    EXPECT_THROW(assemble(".kernel k\n  mov %r99999999999, 1;\n  exit;\n"),
+                 FatalError);
+    EXPECT_THROW(assemble(".kernel k\n  mov %r1abc, 1;\n  exit;\n"),
+                 FatalError);
+    EXPECT_THROW(
+        assemble(".kernel k\n  setp.eq.s64 %p99999999999, %r1, 0;\n  exit;\n"),
+        FatalError);
+    EXPECT_THROW(
+        assemble(".kernel k\n  setp.eq.s64 %p1x, %r1, 0;\n  exit;\n"),
+        FatalError);
+    EXPECT_THROW(
+        assemble(".kernel k\n  @%p1abc exit;\n  exit;\n"), FatalError);
+    // A well-formed index still assembles.
+    EXPECT_NO_THROW(
+        assemble(".kernel k\n  setp.eq.s64 %p1, %r12, 0;\n  exit;\n"));
+}
+
 TEST(Assembler, ErrorOnMisplacedAnnotation)
 {
     EXPECT_THROW(assemble(".kernel k\n  .annot spin\n  mov %r1, 0;\n"),

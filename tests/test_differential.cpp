@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,8 @@
  *    kernel, including the order-dependent ones.
  *  - Skip equivalence: the idle-cycle fast-forward (docs/PERF.md) must
  *    be invisible — every kernel, scheduler, and BOWS mode must produce
- *    identical memory, cycles, outcomes, and stall accounting with
- *    idleSkip on and off.
+ *    identical memory, cycles, outcomes, memory-system traffic, energy
+ *    and stall accounting with idleSkip on and off.
  */
 
 namespace bowsim {
@@ -175,6 +176,9 @@ TEST_P(SkipEquivalence, FastForwardIsInvisible)
             EXPECT_EQ(on.stats.outcomes.lockSuccess,
                       off.stats.outcomes.lockSuccess)
                 << label;
+            EXPECT_EQ(on.stats.outcomes.interWarpFail,
+                      off.stats.outcomes.interWarpFail)
+                << label;
             EXPECT_EQ(on.stats.residentWarpCycles,
                       off.stats.residentWarpCycles)
                 << label;
@@ -185,6 +189,15 @@ TEST_P(SkipEquivalence, FastForwardIsInvisible)
                       off.stats.delayLimitCycleSum)
                 << label;
             EXPECT_EQ(on.stats.smCycles, off.stats.smCycles) << label;
+            EXPECT_EQ(on.stats.l1Accesses, off.stats.l1Accesses) << label;
+            EXPECT_EQ(on.stats.mem.l2Accesses, off.stats.mem.l2Accesses)
+                << label;
+            EXPECT_EQ(on.stats.mem.dramAccesses,
+                      off.stats.mem.dramAccesses)
+                << label;
+            EXPECT_EQ(on.stats.mem.icntPackets, off.stats.mem.icntPackets)
+                << label;
+            EXPECT_EQ(on.stats.energyNj, off.stats.energyNj) << label;
             ASSERT_TRUE(on.stats.hasStallBreakdown());
             ASSERT_TRUE(off.stats.hasStallBreakdown());
             const auto on_stalls = on.stats.stallTotals();
@@ -199,79 +212,6 @@ TEST_P(SkipEquivalence, FastForwardIsInvisible)
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, SkipEquivalence,
-                         ::testing::ValuesIn(allKernelNames()),
-                         [](const auto &info) { return info.param; });
-
-class ThreadEquivalence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ThreadEquivalence, ParallelSmExecutionIsInvisible)
-{
-    // Phase-split determinism contract (docs/PERF.md): sm-threads is a
-    // pure execution knob. Every kernel, scheduler, and BOWS mode must
-    // produce identical memory, cycles, outcomes, and stall accounting
-    // whether SM compute phases run sequentially or on a worker pool.
-    const std::string &name = GetParam();
-    const SchedulerKind scheds[] = {SchedulerKind::LRR, SchedulerKind::GTO,
-                                    SchedulerKind::CAWA};
-    for (SchedulerKind sched : scheds) {
-        for (bool bows : {false, true}) {
-            GpuConfig cfg = diffConfig(sched, bows);
-            cfg.collectStallBreakdown = true;
-            cfg.smThreads = 1;
-            RunResult seq = runKernel(name, cfg);
-            cfg.smThreads = 4;
-            RunResult par = runKernel(name, cfg);
-
-            const std::string label =
-                name + " under " + std::string(toString(sched)) +
-                (bows ? "+BOWS" : "") + " sm-threads=4";
-            ASSERT_EQ(par.digest, seq.digest)
-                << label << ": parallel run changed the memory image";
-            ASSERT_EQ(par.stats.cycles, seq.stats.cycles) << label;
-            EXPECT_EQ(par.stats.warpInstructions,
-                      seq.stats.warpInstructions)
-                << label;
-            EXPECT_EQ(par.stats.outcomes.total(), seq.stats.outcomes.total())
-                << label;
-            EXPECT_EQ(par.stats.outcomes.lockSuccess,
-                      seq.stats.outcomes.lockSuccess)
-                << label;
-            EXPECT_EQ(par.stats.outcomes.interWarpFail,
-                      seq.stats.outcomes.interWarpFail)
-                << label;
-            EXPECT_EQ(par.stats.residentWarpCycles,
-                      seq.stats.residentWarpCycles)
-                << label;
-            EXPECT_EQ(par.stats.backedOffWarpCycles,
-                      seq.stats.backedOffWarpCycles)
-                << label;
-            EXPECT_EQ(par.stats.delayLimitCycleSum,
-                      seq.stats.delayLimitCycleSum)
-                << label;
-            EXPECT_EQ(par.stats.smCycles, seq.stats.smCycles) << label;
-            EXPECT_EQ(par.stats.l1Accesses, seq.stats.l1Accesses) << label;
-            EXPECT_EQ(par.stats.mem.l2Accesses, seq.stats.mem.l2Accesses)
-                << label;
-            EXPECT_EQ(par.stats.mem.dramAccesses,
-                      seq.stats.mem.dramAccesses)
-                << label;
-            EXPECT_EQ(par.stats.mem.icntPackets, seq.stats.mem.icntPackets)
-                << label;
-            EXPECT_EQ(par.stats.energyNj, seq.stats.energyNj) << label;
-            ASSERT_TRUE(par.stats.hasStallBreakdown());
-            ASSERT_TRUE(seq.stats.hasStallBreakdown());
-            const auto par_stalls = par.stats.stallTotals();
-            const auto seq_stalls = seq.stats.stallTotals();
-            for (unsigned c = 0; c < trace::kNumStallCauses; ++c) {
-                EXPECT_EQ(par_stalls[c], seq_stalls[c])
-                    << label << ": stall cause "
-                    << trace::toString(static_cast<trace::StallCause>(c));
-            }
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Kernels, ThreadEquivalence,
                          ::testing::ValuesIn(allKernelNames()),
                          [](const auto &info) { return info.param; });
 
@@ -345,6 +285,12 @@ struct SampledCase {
     std::uint64_t period;
 };
 
+/** Stable test IDs: the default printer dumps the kernel-name pointer. */
+void PrintTo(const SampledCase &c, std::ostream *os)
+{
+    *os << c.kernel << " window=" << c.window << " period=" << c.period;
+}
+
 class SampledAccuracy : public ::testing::TestWithParam<SampledCase> {};
 
 TEST_P(SampledAccuracy, EstimateTracksCycleIpc)
@@ -389,35 +335,20 @@ TEST(MetricsEquivalence, SampledSeriesIdenticalAcrossExecutionModes)
     // series is a function of the simulated schedule only. For a
     // spin-heavy kernel (ATM: serialized critical sections, BOWS
     // back-off, long idle-skippable gaps), the serialized series must be
-    // byte-identical across sequential vs pooled SM execution and with
-    // the idle-cycle fast-forward on or off.
-    GpuConfig base = diffConfig(SchedulerKind::GTO, /*bows=*/true);
-    std::string ref;
-    std::string ref_label;
-    for (unsigned threads : {1u, 4u}) {
-        for (bool skip : {true, false}) {
-            GpuConfig cfg = base;
-            cfg.smThreads = threads;
-            cfg.idleSkip = skip;
-            Gpu gpu(cfg);
-            metrics::MetricsSampler sampler(1000);
-            gpu.setMetrics(&sampler);
-            makeBenchmark("ATM", kScale)->run(gpu);
-            ASSERT_GT(sampler.registry().rows().size(), 1u);
-            const std::string series = sampler.serialize();
-            const std::string label =
-                "sm-threads=" + std::to_string(threads) +
-                (skip ? " skip=on" : " skip=off");
-            if (ref.empty()) {
-                ref = series;
-                ref_label = label;
-                continue;
-            }
-            ASSERT_EQ(series, ref)
-                << "metrics series diverged: " << label << " vs "
-                << ref_label;
-        }
+    // byte-identical with the idle-cycle fast-forward on or off.
+    std::string series[2];
+    for (bool skip : {true, false}) {
+        GpuConfig cfg = diffConfig(SchedulerKind::GTO, /*bows=*/true);
+        cfg.idleSkip = skip;
+        Gpu gpu(cfg);
+        metrics::MetricsSampler sampler(1000);
+        gpu.setMetrics(&sampler);
+        makeBenchmark("ATM", kScale)->run(gpu);
+        ASSERT_GT(sampler.registry().rows().size(), 1u);
+        series[skip ? 0 : 1] = sampler.serialize();
     }
+    ASSERT_EQ(series[1], series[0])
+        << "metrics series diverged: skip=off vs skip=on";
 }
 
 TEST(Determinism, RepeatedRunsAreBitIdentical)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,14 @@ const Golden kGolden[] = {
     {"ATM", false, 314299, 169255, 21460, 284005, 1846},
     {"ATM", true, 171181, 84529, 15012, 145520, 916},
 };
+
+/** Without this, gtest prints the raw bytes of the struct, address of
+ *  the kernel-name literal included, and the discovered test IDs change
+ *  with every build. */
+void PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.kernel << (g.bows ? " bows" : " base");
+}
 
 class GoldenStats : public ::testing::TestWithParam<Golden> {};
 

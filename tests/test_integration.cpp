@@ -172,5 +172,47 @@ TEST(Integration, PascalConfigRunsTheSuite)
     EXPECT_GT(s.cycles, 0u);
 }
 
+TEST(IdleSkip, MatchesCycleByCycleLoop)
+{
+    // Fast-suite probe of the idle-cycle fast-forward (docs/PERF.md);
+    // the full kernel x scheduler x BOWS sweep is the slow
+    // SkipEquivalence suite. HT exercises locks, atomics, back-off and
+    // global loads/stores; stall accounting must survive the bulk
+    // updates across skipped gaps.
+    GpuConfig cfg = baseConfig(SchedulerKind::GTO, /*bows=*/true);
+    cfg.collectStallBreakdown = true;
+    std::uint64_t digest[2];
+    KernelStats stats[2];
+    for (bool skip : {true, false}) {
+        cfg.idleSkip = skip;
+        Gpu gpu(cfg);
+        stats[skip ? 0 : 1] = makeBenchmark("HT", 0.1)->run(gpu);
+        digest[skip ? 0 : 1] = gpu.mem().digest();
+    }
+    const KernelStats &on = stats[0];
+    const KernelStats &off = stats[1];
+    ASSERT_EQ(digest[0], digest[1]) << "memory image diverged";
+    EXPECT_EQ(on.cycles, off.cycles);
+    EXPECT_EQ(on.warpInstructions, off.warpInstructions);
+    EXPECT_EQ(on.smCycles, off.smCycles);
+    EXPECT_EQ(on.outcomes.total(), off.outcomes.total());
+    EXPECT_EQ(on.outcomes.lockSuccess, off.outcomes.lockSuccess);
+    EXPECT_EQ(on.residentWarpCycles, off.residentWarpCycles);
+    EXPECT_EQ(on.backedOffWarpCycles, off.backedOffWarpCycles);
+    EXPECT_EQ(on.delayLimitCycleSum, off.delayLimitCycleSum);
+    EXPECT_EQ(on.l1Accesses, off.l1Accesses);
+    EXPECT_EQ(on.mem.l2Accesses, off.mem.l2Accesses);
+    EXPECT_EQ(on.mem.icntPackets, off.mem.icntPackets);
+    EXPECT_EQ(on.mem.dramAccesses, off.mem.dramAccesses);
+    EXPECT_EQ(on.energyNj, off.energyNj);
+    const auto on_stalls = on.stallTotals();
+    const auto off_stalls = off.stallTotals();
+    for (unsigned c = 0; c < trace::kNumStallCauses; ++c) {
+        EXPECT_EQ(on_stalls[c], off_stalls[c])
+            << "stall cause "
+            << trace::toString(static_cast<trace::StallCause>(c));
+    }
+}
+
 }  // namespace
 }  // namespace bowsim

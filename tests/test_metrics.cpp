@@ -19,7 +19,7 @@
  * Metrics layer (docs/METRICS.md): registry semantics, the null-handle
  * observer effect, the sampler's grid/boundary math at kernel end, and
  * the checkMetricsSeries validator. The cross-mode byte-equivalence of
- * whole series (--sm-threads x idle-skip) lives with the other
+ * whole series (idle-skip on vs off) lives with the other
  * differential properties in test_differential.cpp.
  */
 

@@ -334,12 +334,6 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     }
     {
         SweepPoint knobs = p;
-        knobs.cfg.smThreads = 7;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "smThreads";
-    }
-    {
-        SweepPoint knobs = p;
         knobs.cfg.metricsInterval = 12345;
         EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
             << "metricsInterval";
@@ -362,7 +356,6 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     // And all of them together.
     SweepPoint knobs = p;
     knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
-    knobs.cfg.smThreads = 7;
     knobs.cfg.metricsInterval = 12345;
     knobs.cfg.syncTopN = 7;
     knobs.cfg.syncStormWindow = 16;
@@ -502,17 +495,13 @@ TEST(Fingerprint, KernelScaleAndSaltChangeKey)
 
 TEST(Fingerprint, OpaquePointsAreNotCacheable)
 {
-    SweepPoint body = registryPoint();
-    body.body = [] { return KernelStats{}; };
-    const PointKey bk = harness::fingerprintPoint(body);
-    EXPECT_FALSE(bk.cacheable);
-    EXPECT_TRUE(bk.hash.empty());
-    EXPECT_NE(bk.reason.find("body"), std::string::npos) << bk.reason;
-
+    // The runner cannot see inside a gpuBody closure: without a salt
+    // the point has no content key.
     SweepPoint unsalted = registryPoint();
     unsalted.gpuBody = [](Gpu &) { return KernelStats{}; };
     const PointKey uk = harness::fingerprintPoint(unsalted);
     EXPECT_FALSE(uk.cacheable);
+    EXPECT_TRUE(uk.hash.empty());
     EXPECT_NE(uk.reason.find("salt"), std::string::npos) << uk.reason;
 
     SweepPoint unknown = registryPoint();
@@ -817,7 +806,7 @@ TEST(CacheIntegration, SideOutputsAndOpaquePointsBypass)
     traced.tracePath = (td.path / "trace.json").string();
     points.push_back(traced);
     SweepPoint opaque = registryPoint("opaque");
-    opaque.body = [] {
+    opaque.gpuBody = [](Gpu &) {
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;
@@ -879,7 +868,7 @@ TEST(CacheIntegration, NonCacheablePointsStillResumeViaWeakKey)
 {
     TempDir td("integration_weak");
     SweepPoint opaque = registryPoint("opaque");
-    opaque.body = [] {
+    opaque.gpuBody = [](Gpu &) {
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;

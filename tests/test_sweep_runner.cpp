@@ -108,19 +108,22 @@ TEST(SweepRunner, WatchdogRaisesCatchableSimError)
 
 TEST(SweepRunner, CustomBodyPointsRun)
 {
+    // A gpuBody point runs on a Gpu the runner built from the point's
+    // config, and its returned stats become the point's result.
     SweepPoint p;
     p.id = "custom";
     p.cfg = makeGtx480Config();
-    p.body = [] {
+    p.cfg.numCores = 3;
+    p.gpuBody = [](Gpu &gpu) {
         KernelStats s;
         s.kernel = "custom";
-        s.cycles = 42;
+        s.cycles = 42 + gpu.config().numCores;
         return s;
     };
     const std::vector<SweepResult> results = SweepRunner(2).run({p});
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok);
-    EXPECT_EQ(results[0].stats.cycles, 42u);
+    EXPECT_EQ(results[0].stats.cycles, 45u);
 }
 
 TEST(SweepRunner, ResolveJobsPrefersExplicitRequest)
@@ -173,11 +176,8 @@ TEST(SweepToJson, RecordsIdleSkipAndStaticEnergy)
         ASSERT_TRUE(p.at("config").has("idle_skip"));
         EXPECT_EQ(p.at("config").at("idle_skip").asBool(),
                   points[i].cfg.idleSkip);
-        // Likewise for the phase-split worker count and the atomic
-        // service period (json_check requires both).
-        ASSERT_TRUE(p.at("config").has("sm_threads"));
-        EXPECT_EQ(p.at("config").at("sm_threads").asInt(),
-                  static_cast<std::int64_t>(points[i].cfg.smThreads));
+        // Likewise for the atomic service period (json_check requires
+        // it).
         ASSERT_TRUE(p.at("config").has("atomic_service_period"));
         EXPECT_EQ(p.at("config").at("atomic_service_period").asInt(),
                   static_cast<std::int64_t>(points[i].cfg.atomicServicePeriod));
@@ -229,7 +229,6 @@ TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
     auto brokenDoc = [](bool with_mode, bool with_est) {
         Json cfg = Json::object();
         cfg.set("idle_skip", true);
-        cfg.set("sm_threads", 1);
         cfg.set("atomic_service_period", 1);
         cfg.set("metrics_interval", 0);
         if (with_mode)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -152,6 +153,25 @@ TEST(TracedRun, EmitsTheExpectedEventMix)
     EXPECT_GT(count(EventKind::SibConfirm), 0u);
     EXPECT_GT(count(EventKind::BackoffEnter), 0u);
     EXPECT_EQ(count(EventKind::BackoffEnter), count(EventKind::BackoffExit));
+}
+
+TEST(TracedRun, EventStreamIsDeterministic)
+{
+    // Two traced runs of the same configuration must record the same
+    // events in the same order with the same payloads.
+    const std::vector<TraceEvent> a = traceHashtable(/*bows=*/true);
+    const std::vector<TraceEvent> b = traceHashtable(/*bows=*/true);
+    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        // TraceEvent is packed with explicit padding, so memcmp is exact.
+        ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(a[i])), 0)
+            << "event " << i << " diverged: kind "
+            << static_cast<int>(a[i].kind) << " @" << a[i].cycle
+            << " sm " << a[i].sm << " vs kind "
+            << static_cast<int>(b[i].kind) << " @" << b[i].cycle
+            << " sm " << b[i].sm;
+    }
 }
 
 TEST(TracedRun, TimestampsAreGloballyMonotonic)
