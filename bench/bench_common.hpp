@@ -1,6 +1,7 @@
 #ifndef BOWSIM_BENCH_BENCH_COMMON_HPP
 #define BOWSIM_BENCH_BENCH_COMMON_HPP
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -119,7 +121,7 @@ struct BenchOptions {
      */
     bool progress = false;
     /**
-     * Execution mode override (--exec-mode=cycle|functional|sampled /
+     * Execution mode override (--exec-mode=cycle|functional /
      * BOWSIM_EXEC_MODE): forces GpuConfig::execMode on every point.
      * hasExecMode distinguishes "not given" from an explicit cycle.
      * Recorded per point as config.exec_mode (docs/PERF.md, "Execution
@@ -127,12 +129,6 @@ struct BenchOptions {
      */
     bool hasExecMode = false;
     ExecMode execMode = ExecMode::Cycle;
-    /** Sampled-mode detailed window length in cycles (--sample-window /
-     *  BOWSIM_SAMPLE_WINDOW); 0 leaves each config's default. */
-    Cycle sampleWindow = 0;
-    /** Sampled-mode fast-forward distance in warp instructions
-     *  (--sample-period / BOWSIM_SAMPLE_PERIOD); 0 leaves the default. */
-    std::uint64_t samplePeriod = 0;
     /**
      * Persistent result cache (--cache=off|ro|rw / BOWSIM_CACHE; see
      * docs/BENCH.md, "Result cache & resume"). Off by default: caching
@@ -183,15 +179,38 @@ tracePathFor(const std::string &base, const std::string &id)
 }
 
 /**
+ * Parses a numeric option value: the whole of @p text must be one
+ * non-negative, finite number of type T (std::from_chars, so no sign,
+ * no trailing characters, no overflow). Anything else prints
+ * "error: bad NAME 'TEXT'" and exits 2, like an unknown --exec-mode.
+ */
+template <typename T>
+T
+parseNumber(const char *name, const char *text)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value) && value >= 0;
+    if (!ok) {
+        std::fprintf(stderr, "error: bad %s '%s'\n", name, text);
+        std::exit(2);
+    }
+    return value;
+}
+
+/**
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --sample-window= / --sample-period= /
- * --cache= / --cache-dir= / --resume
+ * --progress / --exec-mode= / --cache= / --cache-dir= / --resume
  * plus the corresponding
  * BOWSIM_* environment variables (flags win over the environment, the
  * environment wins over the bench's defaults). Unknown arguments are
- * ignored so binaries with their own flags can share the parser.
+ * ignored so binaries with their own flags can share the parser;
+ * malformed values of known ones exit 2 with an error.
  */
 inline BenchOptions
 parseOptions(int argc, char **argv, double default_scale = 1.0,
@@ -201,11 +220,13 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     o.scale = default_scale;
     o.cores = default_cores;
     if (const char *env = std::getenv("BOWSIM_SCALE"))
-        o.scale = std::atof(env);
+        o.scale = parseNumber<double>("BOWSIM_SCALE", env);
     if (const char *env = std::getenv("BOWSIM_CORES"))
-        o.cores = static_cast<unsigned>(std::atoi(env));
+        o.cores = parseNumber<unsigned>("BOWSIM_CORES", env);
     if (const char *env = std::getenv("BOWSIM_DEVICES"))
-        o.devices = static_cast<unsigned>(std::atoi(env));
+        o.devices = parseNumber<unsigned>("BOWSIM_DEVICES", env);
+    if (const char *env = std::getenv("BOWSIM_JOBS"))
+        o.jobs = parseNumber<unsigned>("BOWSIM_JOBS", env);
     if (const char *env = std::getenv("BOWSIM_TRACE"))
         o.tracePath = env;
     if (const char *env = std::getenv("BOWSIM_TRACE_FILTER"))
@@ -217,7 +238,8 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     if (const char *env = std::getenv("BOWSIM_METRICS"))
         o.metricsPath = env;
     if (const char *env = std::getenv("BOWSIM_METRICS_INTERVAL"))
-        o.metricsInterval = static_cast<Cycle>(std::atoll(env));
+        o.metricsInterval =
+            parseNumber<Cycle>("BOWSIM_METRICS_INTERVAL", env);
     if (const char *env = std::getenv("BOWSIM_PROFILE"))
         o.profile = env[0] != '\0' && env[0] != '0';
     if (const char *env = std::getenv("BOWSIM_PROGRESS"))
@@ -226,7 +248,7 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         if (!parseExecMode(text, &o.execMode)) {
             std::fprintf(stderr,
                          "error: unknown exec mode '%s' (expected "
-                         "cycle, functional or sampled)\n",
+                         "cycle or functional)\n",
                          text);
             std::exit(2);
         }
@@ -234,10 +256,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
     };
     if (const char *env = std::getenv("BOWSIM_EXEC_MODE"))
         setExecMode(env);
-    if (const char *env = std::getenv("BOWSIM_SAMPLE_WINDOW"))
-        o.sampleWindow = static_cast<Cycle>(std::atoll(env));
-    if (const char *env = std::getenv("BOWSIM_SAMPLE_PERIOD"))
-        o.samplePeriod = static_cast<std::uint64_t>(std::atoll(env));
     auto setCacheMode = [&o](const char *text) {
         if (!harness::parseCacheMode(text, &o.cacheMode)) {
             std::fprintf(stderr,
@@ -255,13 +273,13 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         o.resume = env[0] != '\0' && env[0] != '0';
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
-            o.scale = std::atof(argv[i] + 8);
+            o.scale = parseNumber<double>("--scale", argv[i] + 8);
         else if (std::strncmp(argv[i], "--cores=", 8) == 0)
-            o.cores = static_cast<unsigned>(std::atoi(argv[i] + 8));
+            o.cores = parseNumber<unsigned>("--cores", argv[i] + 8);
         else if (std::strncmp(argv[i], "--devices=", 10) == 0)
-            o.devices = static_cast<unsigned>(std::atoi(argv[i] + 10));
+            o.devices = parseNumber<unsigned>("--devices", argv[i] + 10);
         else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            o.jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
+            o.jobs = parseNumber<unsigned>("--jobs", argv[i] + 7);
         else if (std::strncmp(argv[i], "--json=", 7) == 0)
             o.jsonPath = argv[i] + 7;
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
@@ -273,7 +291,8 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         else if (std::strcmp(argv[i], "--no-skip") == 0)
             o.noSkip = true;
         else if (std::strncmp(argv[i], "--metrics-interval=", 19) == 0)
-            o.metricsInterval = static_cast<Cycle>(std::atoll(argv[i] + 19));
+            o.metricsInterval =
+                parseNumber<Cycle>("--metrics-interval", argv[i] + 19);
         else if (std::strncmp(argv[i], "--metrics=", 10) == 0)
             o.metricsPath = argv[i] + 10;
         else if (std::strcmp(argv[i], "--profile") == 0)
@@ -282,11 +301,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             o.progress = true;
         else if (std::strncmp(argv[i], "--exec-mode=", 12) == 0)
             setExecMode(argv[i] + 12);
-        else if (std::strncmp(argv[i], "--sample-window=", 16) == 0)
-            o.sampleWindow = static_cast<Cycle>(std::atoll(argv[i] + 16));
-        else if (std::strncmp(argv[i], "--sample-period=", 16) == 0)
-            o.samplePeriod =
-                static_cast<std::uint64_t>(std::atoll(argv[i] + 16));
         else if (std::strncmp(argv[i], "--cache=", 8) == 0)
             setCacheMode(argv[i] + 8);
         else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
@@ -406,10 +420,6 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         }
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
-        if (opts.sampleWindow != 0)
-            p.cfg.sampleWindow = opts.sampleWindow;
-        if (opts.samplePeriod != 0)
-            p.cfg.samplePeriod = opts.samplePeriod;
     }
     // Result cache & resume (docs/BENCH.md): the runner serves
     // fingerprint hits and journal replays without dispatching to a

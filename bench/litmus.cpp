@@ -92,7 +92,15 @@ badFlag(const char *flag, const std::string &value)
 int
 main(int argc, char **argv)
 {
-    BenchOptions opts = parseOptions(argc, argv);
+    // --devices= is a list here (the matrix axis), not the shared
+    // parser's single device count, so it is kept from parseOptions.
+    std::vector<char *> shared_args;
+    for (int i = 0; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--devices=", 10) != 0)
+            shared_args.push_back(argv[i]);
+    }
+    BenchOptions opts = parseOptions(static_cast<int>(shared_args.size()),
+                                     shared_args.data());
     LitmusOptions lo = harness::defaultLitmusOptions();
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--primitives=", 13) == 0) {
@@ -122,10 +130,11 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "--devices=", 10) == 0) {
             lo.devices.clear();
             for (const std::string &name : splitList(argv[i] + 10)) {
-                const int dev = std::atoi(name.c_str());
-                if (dev <= 0)
+                const unsigned dev =
+                    parseNumber<unsigned>("--devices", name.c_str());
+                if (dev == 0)
                     badFlag("--devices", name);
-                lo.devices.push_back(static_cast<unsigned>(dev));
+                lo.devices.push_back(dev);
             }
         } else if (std::strncmp(argv[i], "--bows=", 7) == 0) {
             const std::string value = argv[i] + 7;
@@ -138,13 +147,13 @@ main(int argc, char **argv)
             else
                 badFlag("--bows", value);
         } else if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-            lo.iters = static_cast<unsigned>(std::atoi(argv[i] + 8));
+            lo.iters = parseNumber<unsigned>("--iters", argv[i] + 8);
         } else if (std::strncmp(argv[i], "--watchdog=", 11) == 0) {
             lo.base.watchdogCycles =
-                static_cast<Cycle>(std::atoll(argv[i] + 11));
+                parseNumber<Cycle>("--watchdog", argv[i] + 11);
         } else if (std::strncmp(argv[i], "--atomic-service=", 17) == 0) {
             lo.base.atomicServicePeriod =
-                static_cast<unsigned>(std::atoi(argv[i] + 17));
+                parseNumber<unsigned>("--atomic-service", argv[i] + 17);
         }
     }
     if (lo.iters == 0) {

@@ -123,29 +123,17 @@ checkSweepArtifact(const Json &doc, std::int64_t expected_points,
             return fail("point " + std::to_string(i) +
                         " config lacks \"metrics_interval\"");
         }
-        // Execution mode must always be recorded (a cycle-mode artifact
-        // and a sampled-mode artifact are not comparable), and the
-        // estimator fields are exclusive to the estimating modes: a
-        // cycle-mode point carrying ipc_est would silently launder an
-        // estimate as ground truth.
+        // Execution mode must always be recorded: a cycle-mode artifact
+        // and a functional-mode artifact are not comparable.
         if (!p.at("config").has("exec_mode")) {
             return fail("point " + std::to_string(i) +
                         " config lacks \"exec_mode\"");
         }
         const std::string &mode =
             p.at("config").at("exec_mode").asString();
-        if (mode != "cycle" && mode != "functional" && mode != "sampled") {
+        if (mode != "cycle" && mode != "functional") {
             return fail("point " + std::to_string(i) +
                         " has unknown exec_mode \"" + mode + "\"");
-        }
-        if (mode == "cycle" && p.has("stats")) {
-            const Json &stats = p.at("stats");
-            if (stats.has("ipc_est") || stats.has("ipc_ci95") ||
-                stats.has("sampled_windows")) {
-                return fail("point " + std::to_string(i) +
-                            " is exec_mode=cycle but carries sampled "
-                            "estimator fields");
-            }
         }
         // Multi-device points are self-describing: the device count,
         // the link parameters, and one per-device stats shard per
@@ -534,7 +522,7 @@ checkLitmusMatrix(const Json &doc, std::int64_t expected_cells)
                         "\"");
     }
     const std::string &mode = doc.at("exec_mode").asString();
-    if (mode != "cycle" && mode != "functional" && mode != "sampled")
+    if (mode != "cycle" && mode != "functional")
         return fail("unknown exec_mode \"" + mode + "\"");
     if (doc.at("watchdog_cycles").asInt() <= 0)
         return fail("watchdog_cycles must be positive");

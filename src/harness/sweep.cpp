@@ -275,14 +275,6 @@ statsToJson(const KernelStats &s)
     j.set("active_lane_sum", s.activeLaneSum);
     j.set("simd_efficiency", finite("simd_efficiency", s.simdEfficiency()));
     j.set("ipc", finite("ipc", s.ipc()));
-    // Sampled-mode estimator fields appear only when an estimate was
-    // actually produced; cycle-mode artifacts never carry them
-    // (json_check enforces this).
-    if (s.hasSampledIpc()) {
-        j.set("ipc_est", finite("ipc_est", s.ipcEst));
-        j.set("ipc_ci95", finite("ipc_ci95", s.ipcCi95));
-        j.set("sampled_windows", s.sampledWindows);
-    }
 
     Json mem = Json::object();
     mem.set("l1_accesses", s.l1Accesses);
@@ -430,14 +422,6 @@ statsFromJson(const Json &j)
     s.sibInstructions = getU64(j, "sib_instructions");
     s.activeLaneSum = getU64(j, "active_lane_sum");
     // simd_efficiency and ipc are derived; recomputed from the raws.
-    if (j.has("sampled_windows")) {
-        s.ipcEst = j.at("ipc_est").asDouble();
-        s.ipcCi95 = j.at("ipc_ci95").asDouble();
-        s.sampledWindows = getU64(j, "sampled_windows");
-        if (!s.hasSampledIpc())
-            fatal("statsFromJson: sampled_windows == 0 in a sampled "
-                  "record");
-    }
 
     const Json &mem = j.at("mem");
     s.l1Accesses = getU64(mem, "l1_accesses");
@@ -561,12 +545,6 @@ configToJson(const GpuConfig &cfg)
     j.set("metrics_interval", cfg.metricsInterval);
     j.set("atomic_service_period", cfg.atomicServicePeriod);
     j.set("exec_mode", toString(cfg.execMode));
-    // The sampling knobs only matter — and are only recorded — when the
-    // point actually ran in sampled mode.
-    if (cfg.execMode == ExecMode::Sampled) {
-        j.set("sample_window", cfg.sampleWindow);
-        j.set("sample_period", cfg.samplePeriod);
-    }
     j.set("scheduler", toString(cfg.scheduler));
     j.set("spin_detect", toString(cfg.spinDetect));
     j.set("bows_enabled", cfg.bows.enabled);

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/arch/snapshot.hpp"
 #include "src/arch/warp.hpp"
 #include "src/common/config.hpp"
 #include "src/sim/sm_core.hpp"
@@ -56,19 +55,8 @@ class FunctionalExecutor {
     /** True when every CTA has been dispatched and completed. */
     bool finished() const;
 
-    /** Warp instructions executed so far (the fast-forward odometer). */
+    /** Warp instructions executed so far (the pseudo-clock). */
     std::uint64_t instructionsExecuted() const { return executed_; }
-
-    /**
-     * Architectural checkpoint of the current state (functional memory
-     * is snapshotted separately — copy the MemorySpace). Used by
-     * sampled mode to seed detailed windows and by checkpoint/restore
-     * round-trip tests.
-     */
-    GpuSnapshot snapshot() const;
-
-    /** Restores a checkpoint previously taken with snapshot(). */
-    void restore(const GpuSnapshot &snap);
 
   private:
     struct FCta {
@@ -110,7 +98,8 @@ class FunctionalExecutor {
     /** CTAs resident across all virtual SMs (finished() gate). */
     unsigned residentCtas_ = 0;
     /** Rotation cursor (SM, CTA slot, warp slot), persistent across
-     *  runFor calls so fast-forward legs pause at slice granularity. */
+     *  runFor calls so multi-device slices pause at warp-slice
+     *  granularity and resume where they stopped. */
     std::size_t rotSm_ = 0;
     unsigned rotCta_ = 0;
     unsigned rotWarp_ = 0;

@@ -151,9 +151,6 @@ fullStats()
     s.energy.atomicOps = 55;
     s.energyNj = 123.4375;
     s.staticEnergyNj = 7.25;
-    s.ipcEst = 0.875;
-    s.ipcCi95 = 0.125;
-    s.sampledWindows = 4;
     s.ddos.trueBranches = 10;
     s.ddos.trueDetected = 9;
     s.ddos.falseBranches = 8;
@@ -218,9 +215,6 @@ TEST(StatsJsonRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(t.energy.atomicOps, s.energy.atomicOps);
     EXPECT_EQ(t.energyNj, s.energyNj);
     EXPECT_EQ(t.staticEnergyNj, s.staticEnergyNj);
-    EXPECT_EQ(t.ipcEst, s.ipcEst);
-    EXPECT_EQ(t.ipcCi95, s.ipcCi95);
-    EXPECT_EQ(t.sampledWindows, s.sampledWindows);
     EXPECT_EQ(t.ddos.trueBranches, s.ddos.trueBranches);
     EXPECT_EQ(t.ddos.trueDetected, s.ddos.trueDetected);
     EXPECT_EQ(t.ddos.falseBranches, s.ddos.falseBranches);
@@ -250,8 +244,6 @@ TEST(StatsJsonRoundTrip, MinimalStatsOmitOptionalBlocks)
     EXPECT_FALSE(j.has("stall"));
     EXPECT_FALSE(j.has("stall_table"));
     EXPECT_FALSE(j.has("unit_issues"));
-    EXPECT_FALSE(j.has("ipc_est"));
-    EXPECT_FALSE(j.has("sampled_windows"));
     EXPECT_FALSE(j.at("sched").has("spinning_warp_cycles"));
     EXPECT_FALSE(j.at("sched").has("peak_resident_per_sm"));
 
@@ -259,7 +251,6 @@ TEST(StatsJsonRoundTrip, MinimalStatsOmitOptionalBlocks)
     EXPECT_EQ(harness::statsToJson(t).dump(), j.dump());
     EXPECT_TRUE(t.stallCounts.empty());
     EXPECT_TRUE(t.unitIssues.empty());
-    EXPECT_EQ(t.sampledWindows, 0u);
     EXPECT_EQ(t.spinningWarpCycles, 0u);
 }
 
@@ -272,9 +263,9 @@ TEST(StatsJsonRoundTrip, NonFiniteValuesAreFatal)
     nan_energy.energyNj = std::nan("");
     EXPECT_THROW(harness::statsToJson(nan_energy), FatalError);
 
-    KernelStats inf_est = fullStats();
-    inf_est.ipcEst = INFINITY;
-    EXPECT_THROW(harness::statsToJson(inf_est), FatalError);
+    KernelStats inf_static = fullStats();
+    inf_static.staticEnergyNj = INFINITY;
+    EXPECT_THROW(harness::statsToJson(inf_static), FatalError);
 
     KernelStats nan_dpr = fullStats();
     nan_dpr.ddos.dprFalseSum = -std::nan("");
@@ -300,10 +291,6 @@ TEST(StatsJsonRoundTrip, ParseRejectsContradictoryRecords)
     EXPECT_THROW(
         harness::statsFromJson(mutated(j, "\"cycles\":123456,", "")),
         FatalError);
-    // A sampled record claiming zero windows.
-    EXPECT_THROW(harness::statsFromJson(mutated(
-                     j, "\"sampled_windows\":4", "\"sampled_windows\":0")),
-                 FatalError);
     // An explicit zero for a presence-gated gauge.
     EXPECT_THROW(
         harness::statsFromJson(mutated(j, "\"spinning_warp_cycles\":340",
@@ -452,8 +439,6 @@ TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
          [](GpuConfig &c) { c.collectSpinCycles = !c.collectSpinCycles; }},
         {"execMode",
          [](GpuConfig &c) { c.execMode = ExecMode::Functional; }},
-        {"sampleWindow", [](GpuConfig &c) { c.sampleWindow = 8000; }},
-        {"samplePeriod", [](GpuConfig &c) { c.samplePeriod = 20000; }},
     };
 
     const SweepPoint base = registryPoint();

@@ -186,57 +186,40 @@ TEST(SweepToJson, RecordsIdleSkipAndStaticEnergy)
     }
 }
 
-TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
+TEST(SweepToJson, RecordsExecMode)
 {
     std::vector<SweepPoint> points = smallSweep();
-    points.resize(3);
+    points.resize(2);
     points[0].cfg.execMode = ExecMode::Cycle;
     points[1].cfg.execMode = ExecMode::Functional;
-    points[2].cfg.execMode = ExecMode::Sampled;
-    points[2].cfg.sampleWindow = 500;
-    points[2].cfg.samplePeriod = 2000;
     const std::vector<SweepResult> results = SweepRunner(1).run(points);
 
     const Json doc =
         harness::sweepToJson("unit_test", 1, points, results);
     const Json &arr = doc.at("points");
-    ASSERT_EQ(arr.size(), 3u);
+    ASSERT_EQ(arr.size(), 2u);
 
     EXPECT_EQ(arr.at(0).at("config").at("exec_mode").asString(), "cycle");
-    EXPECT_FALSE(arr.at(0).at("config").has("sample_window"));
-    EXPECT_FALSE(arr.at(0).at("stats").has("ipc_est"));
-    EXPECT_FALSE(arr.at(0).at("stats").has("ipc_ci95"));
+    EXPECT_GT(arr.at(0).at("stats").at("cycles").asInt(), 0);
 
     EXPECT_EQ(arr.at(1).at("config").at("exec_mode").asString(),
               "functional");
     EXPECT_EQ(arr.at(1).at("stats").at("cycles").asInt(), 0);
-    EXPECT_FALSE(arr.at(1).at("stats").has("ipc_est"));
-
-    const Json &smp = arr.at(2);
-    EXPECT_EQ(smp.at("config").at("exec_mode").asString(), "sampled");
-    EXPECT_EQ(smp.at("config").at("sample_window").asInt(), 500);
-    EXPECT_EQ(smp.at("config").at("sample_period").asInt(), 2000);
-    ASSERT_TRUE(smp.at("stats").has("ipc_est"));
-    ASSERT_TRUE(smp.at("stats").has("ipc_ci95"));
-    ASSERT_TRUE(smp.at("stats").has("sampled_windows"));
-    EXPECT_GT(smp.at("stats").at("ipc_est").asDouble(), 0.0);
 
     // The full artifact passes the checker...
-    EXPECT_TRUE(harness::checkSweepArtifact(doc, 3).ok);
+    EXPECT_TRUE(harness::checkSweepArtifact(doc, 2).ok);
 
     // ...and the checker enforces the mode contract: exec_mode must be
-    // present, and a cycle-mode point must not carry estimator fields.
-    auto brokenDoc = [](bool with_mode, bool with_est) {
+    // present and one of cycle|functional.
+    auto brokenDoc = [](const char *mode) {
         Json cfg = Json::object();
         cfg.set("idle_skip", true);
         cfg.set("atomic_service_period", 1);
         cfg.set("metrics_interval", 0);
-        if (with_mode)
-            cfg.set("exec_mode", "cycle");
+        if (mode != nullptr)
+            cfg.set("exec_mode", mode);
         Json stats = Json::object();
         stats.set("cycles", 100);
-        if (with_est)
-            stats.set("ipc_est", 1.0);
         Json p = Json::object();
         p.set("id", "p0");
         p.set("ok", true);
@@ -248,17 +231,19 @@ TEST(SweepToJson, RecordsExecModeAndSampledEstimator)
         d.set("points", std::move(arr));
         return d;
     };
-    EXPECT_TRUE(harness::checkSweepArtifact(brokenDoc(true, false), 1).ok);
+    EXPECT_TRUE(harness::checkSweepArtifact(brokenDoc("cycle"), 1).ok);
+    EXPECT_TRUE(harness::checkSweepArtifact(brokenDoc("functional"), 1).ok);
     const harness::CheckResult missing =
-        harness::checkSweepArtifact(brokenDoc(false, false), 1);
+        harness::checkSweepArtifact(brokenDoc(nullptr), 1);
     EXPECT_FALSE(missing.ok);
     EXPECT_NE(missing.message.find("exec_mode"), std::string::npos)
         << missing.message;
-    const harness::CheckResult est =
-        harness::checkSweepArtifact(brokenDoc(true, true), 1);
-    EXPECT_FALSE(est.ok);
-    EXPECT_NE(est.message.find("estimator"), std::string::npos)
-        << est.message;
+    const harness::CheckResult sampled =
+        harness::checkSweepArtifact(brokenDoc("sampled"), 1);
+    EXPECT_FALSE(sampled.ok);
+    EXPECT_NE(sampled.message.find("unknown exec_mode \"sampled\""),
+              std::string::npos)
+        << sampled.message;
 }
 
 }  // namespace
