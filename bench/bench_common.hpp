@@ -56,8 +56,8 @@ struct BenchOptions {
      * point as config.num_devices when it differs from 1.
      */
     unsigned devices = 0;
-    /** Sweep worker threads; 0 resolves via BOWSIM_JOBS, then the
-     *  hardware concurrency (--jobs / BOWSIM_JOBS). */
+    /** Sweep worker threads (--jobs / BOWSIM_JOBS); 0 means the
+     *  hardware concurrency. */
     unsigned jobs = 0;
     /** When set, runSweep() writes the sweep artifact here (--json). */
     std::string jsonPath;
@@ -131,21 +131,14 @@ struct BenchOptions {
     ExecMode execMode = ExecMode::Cycle;
     /**
      * Persistent result cache (--cache=off|ro|rw / BOWSIM_CACHE; see
-     * docs/BENCH.md, "Result cache & resume"). Off by default: caching
-     * is opt-in so a default invocation always re-simulates.
+     * docs/BENCH.md, "Result cache"). Off by default: caching is opt-in
+     * so a default invocation always re-simulates. An interrupted rw
+     * sweep resumes by running the same command again.
      */
     harness::CacheMode cacheMode = harness::CacheMode::Off;
     /** Cache directory (--cache-dir= / BOWSIM_CACHE_DIR); defaults to
      *  .bowsim-cache in the working directory. */
     std::string cacheDir = ".bowsim-cache";
-    /**
-     * Resume an interrupted sweep from its journal (--resume /
-     * BOWSIM_RESUME): journaled points are served without simulation,
-     * everything else runs. Requires the cache to be on (the journal
-     * lives in the cache directory); --cache=off with --resume is a
-     * usage error.
-     */
-    bool resume = false;
 };
 
 /** Sanitizes a point id into a filename fragment (slashes etc. -> '_'). */
@@ -205,10 +198,9 @@ parseNumber(const char *name, const char *text)
  * Parses --scale= / --cores= / --devices= / --jobs= / --json= /
  * --trace= / --trace-filter= / --no-skip / --metrics= /
  * --metrics-interval= / --sync-report= / --profile /
- * --progress / --exec-mode= / --cache= / --cache-dir= / --resume
- * plus the corresponding
- * BOWSIM_* environment variables (flags win over the environment, the
- * environment wins over the bench's defaults). Unknown arguments are
+ * --progress / --exec-mode= / --cache= / --cache-dir= plus the
+ * corresponding BOWSIM_* environment variables (flags win over the
+ * environment, the environment wins over the bench's defaults). Unknown arguments are
  * ignored so binaries with their own flags can share the parser;
  * malformed values of known ones exit 2 with an error.
  */
@@ -269,8 +261,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         setCacheMode(env);
     if (const char *env = std::getenv("BOWSIM_CACHE_DIR"))
         o.cacheDir = env;
-    if (const char *env = std::getenv("BOWSIM_RESUME"))
-        o.resume = env[0] != '\0' && env[0] != '0';
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--scale=", 8) == 0)
             o.scale = parseNumber<double>("--scale", argv[i] + 8);
@@ -305,8 +295,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             setCacheMode(argv[i] + 8);
         else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
             o.cacheDir = argv[i] + 12;
-        else if (std::strcmp(argv[i], "--resume") == 0)
-            o.resume = true;
     }
     if (!o.traceFilter.empty()) {
         std::uint32_t mask = 0;
@@ -318,12 +306,6 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
                          o.traceFilter.c_str());
             std::exit(2);
         }
-    }
-    if (o.resume && o.cacheMode == harness::CacheMode::Off) {
-        std::fprintf(stderr,
-                     "error: --resume requires --cache=ro or rw (the "
-                     "resume journal lives in the cache directory)\n");
-        std::exit(2);
     }
     return o;
 }
@@ -421,19 +403,13 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
     }
-    // Result cache & resume (docs/BENCH.md): the runner serves
-    // fingerprint hits and journal replays without dispatching to a
-    // worker. Both objects must outlive runner.run().
+    // Result cache (docs/BENCH.md): the runner serves fingerprint hits
+    // without simulating. The cache must outlive runner.run().
     std::unique_ptr<harness::ResultCache> cache;
-    std::unique_ptr<harness::ResumeJournal> journal;
     if (opts.cacheMode != harness::CacheMode::Off) {
         cache = std::make_unique<harness::ResultCache>(opts.cacheDir,
                                                        opts.cacheMode);
-        journal = std::make_unique<harness::ResumeJournal>(
-            cache->journalPath(sweep.name), opts.resume,
-            opts.cacheMode == harness::CacheMode::ReadWrite);
         runner.setCache(cache.get());
-        runner.setJournal(journal.get());
     }
     metrics::ProgressMeter meter;
     if (opts.progress) {
@@ -443,8 +419,8 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         runner.setPointCallback(
             [&meter](std::size_t, const SweepResult &r) {
                 meter.pointDone(r.stats.cycles,
-                                r.source !=
-                                    SweepResult::Source::Simulated);
+                                r.source ==
+                                    SweepResult::Source::CacheHit);
             });
     }
     std::vector<SweepResult> results = runner.run(points);
@@ -483,15 +459,6 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
         std::printf("\n");
     }
     return results;
-}
-
-/** Runs one named benchmark on @p cfg and returns its statistics. */
-inline KernelStats
-runBenchmark(const GpuConfig &cfg, const std::string &name, double scale)
-{
-    Gpu gpu(cfg);
-    auto harness = makeBenchmark(name, scale);
-    return harness->run(gpu);
 }
 
 inline void

@@ -431,6 +431,11 @@ PointKey
 fingerprintPoint(const SweepPoint &point)
 {
     PointKey key;
+    if (!point.tracePath.empty() || !point.metricsPath.empty() ||
+        !point.syncReportPath.empty() || point.syncProfile) {
+        key.reason = "side outputs are not regenerated by a cache hit";
+        return key;
+    }
     FingerprintHasher h;
     hashConfig(h, point.cfg);
     h.add("scale", point.scale);

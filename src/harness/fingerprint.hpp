@@ -8,8 +8,8 @@
 
 /**
  * @file
- * Content fingerprints for sweep points (docs/BENCH.md, "Result cache &
- * resume"). A fingerprint is a SHA-256 over a canonical serialization of
+ * Content fingerprints for sweep points (docs/BENCH.md, "Result
+ * cache"). A fingerprint is a SHA-256 over a canonical serialization of
  * everything that can influence a point's statistics:
  *
  *  - a schema-version constant (kResultSchemaVersion), bumped whenever
@@ -114,16 +114,18 @@ struct PointKey {
 };
 
 /**
- * Computes @p point's fingerprint:
+ * Computes @p point's fingerprint, the one place that decides whether
+ * a sweep point may be served from the result cache:
+ *  - points with a side output (tracePath, metricsPath,
+ *    syncReportPath or syncProfile) are not cacheable, because a
+ *    cache hit would not regenerate the side files or report text;
  *  - registry points hash (schema version, config, kernel, scale, the
  *    assembled programs of makeBenchmark(kernel, scale));
  *  - gpuBody points with a declared cacheSalt hash (schema version,
  *    config, salt, scale);
- *  - gpuBody points without a salt are not cacheable (the harness
- *    counts them as bypassed).
- * Side outputs (tracePath/metricsPath) are the runner's concern: such
- * points get a key here but are bypassed at dispatch, because a cache
- * hit would not regenerate the side files.
+ *  - gpuBody points without a salt are not cacheable.
+ * The runner simulates every non-cacheable point and counts it as
+ * bypassed.
  */
 PointKey fingerprintPoint(const SweepPoint &point);
 

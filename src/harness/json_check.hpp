@@ -31,8 +31,8 @@ Json loadJsonFile(const std::string &path);
  * point reports ok == true and carries a "config" object recording at
  * least the idle_skip setting. When the artifact carries a "cache"
  * block (the sweep ran with --cache, docs/BENCH.md) its mode and
- * counters are validated: hits + misses + bypassed + resumed must
- * equal the point count and stored may not exceed misses. A
+ * counters are validated: hits + misses + bypassed must equal the
+ * point count and stored may not exceed misses. A
  * non-negative @p expected_cache_hits additionally requires the block
  * to be present and report exactly that many hits (the CI warm-run
  * all-hits gate).

@@ -3,21 +3,16 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "src/stats/stats.hpp"
 
 /**
  * @file
- * Persistent, content-addressed sweep result cache with a resume
- * journal (docs/BENCH.md, "Result cache & resume").
- *
- * Layout of a cache directory:
+ * Persistent, content-addressed sweep result cache (docs/BENCH.md,
+ * "Result cache"). Layout of a cache directory:
  *
  *   <dir>/objects/<fingerprint>.json   one record per unique point
- *   <dir>/journal/<bench>.jsonl        per-sweep resume journal
  *
  * A record is { "cache_version", "fingerprint", "id", "stats" }; the
  * version and fingerprint are re-validated on read, so a record written
@@ -28,13 +23,9 @@
  * record; any unparsable record is treated as a miss and, in rw mode,
  * overwritten by the recomputed result.
  *
- * The journal is one JSON object per line, appended (and flushed) as
- * each point completes, so an interrupted sweep can be resumed with
- * --resume: points whose (id, fingerprint) match a journal entry are
- * served without re-simulation, including points that are not
- * content-addressable enough for the shared object store (those match
- * on a weaker config-only key). A truncated final line — the signature
- * of a crash mid-append — is skipped on load.
+ * Every completed cacheable point is stored as it finishes, so an
+ * interrupted sweep resumes by re-running the same --cache=rw command:
+ * the points it already completed are served as hits.
  */
 
 namespace bowsim::harness {
@@ -53,15 +44,14 @@ bool parseCacheMode(const std::string &text, CacheMode *out);
 
 /**
  * Point-disposition counters, exactly one increment per sweep point:
- * hits + misses + bypassed + resumed == points. Recorded in the sweep
- * JSON artifact's "cache" block and shown by the --progress heartbeat.
+ * hits + misses + bypassed == points. Recorded in the sweep JSON
+ * artifact's "cache" block and shown by the --progress heartbeat.
  */
 struct CacheCounters {
     std::uint64_t hits = 0;      ///< served from the object store
     std::uint64_t misses = 0;    ///< fingerprinted, absent, simulated
     std::uint64_t stored = 0;    ///< records written (subset of misses)
     std::uint64_t bypassed = 0;  ///< not cacheable / side outputs
-    std::uint64_t resumed = 0;   ///< served from the resume journal
 };
 
 class ResultCache {
@@ -101,16 +91,9 @@ class ResultCache {
     {
         bypassed_.fetch_add(1, std::memory_order_relaxed);
     }
-    void countResumed()
-    {
-        resumed_.fetch_add(1, std::memory_order_relaxed);
-    }
 
     /** Path of the record for @p fingerprint (exists or not). */
     std::string recordPath(const std::string &fingerprint) const;
-
-    /** Path of the resume journal for sweep @p bench_name. */
-    std::string journalPath(const std::string &bench_name) const;
 
   private:
     std::string dir_;
@@ -119,47 +102,6 @@ class ResultCache {
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> stored_{0};
     std::atomic<std::uint64_t> bypassed_{0};
-    std::atomic<std::uint64_t> resumed_{0};
-};
-
-/**
- * Append-only completion journal for one sweep. Construction loads any
- * existing entries when @p resume is set (tolerating a truncated final
- * line) and otherwise starts the journal afresh. record() appends and
- * flushes one line per completed point; lookup() serves a previously
- * completed point when both its id and its key match. Failed points are
- * never journaled — a resumed sweep re-simulates them.
- */
-class ResumeJournal {
-  public:
-    /**
-     * @p writable: append new completions (rw cache); a read-only
-     * journal only serves lookups. @p resume: load existing entries
-     * (otherwise any previous journal for this sweep is discarded).
-     */
-    ResumeJournal(std::string path, bool resume, bool writable);
-
-    /** Entries loaded from a previous run (0 unless resuming). */
-    std::size_t loadedEntries() const { return entries_.size(); }
-
-    /** True and fills @p out when (id, key) completed in a prior run. */
-    bool lookup(const std::string &id, const std::string &key,
-                KernelStats *out) const;
-
-    /** Journals one completed (ok) point. Thread-safe. */
-    void record(const std::string &id, const std::string &key,
-                const KernelStats &stats);
-
-  private:
-    struct Entry {
-        std::string key;
-        KernelStats stats;
-    };
-
-    std::string path_;
-    bool writable_;
-    std::map<std::string, Entry> entries_;
-    std::mutex mu_;
 };
 
 }  // namespace bowsim::harness

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -25,11 +24,6 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("BOWSIM_JOBS")) {
-        int v = std::atoi(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -137,67 +131,24 @@ runPoint(const SweepPoint &point)
 SweepResult
 SweepRunner::execPoint(const SweepPoint &point) const
 {
-    if (!cache_ && !journal_)
+    if (!cache_)
         return runPoint(point);
-
-    // A cache hit would not regenerate side-output files, so points
-    // with a trace, metrics or sync-report output always simulate.
-    if (!point.tracePath.empty() || !point.metricsPath.empty() ||
-        !point.syncReportPath.empty() || point.syncProfile) {
-        if (cache_)
-            cache_->countBypassed();
-        return runPoint(point);
-    }
-
     const PointKey key = fingerprintPoint(point);
-    // Points the fingerprinter cannot content-address still get a weak
-    // per-sweep resume key (config + id + scale). That is enough for
-    // journal replay — a resumed sweep re-runs the same sweep
-    // definition, so a matching (id, config) names the same work — but
-    // deliberately too weak for the shared object store, where keys
-    // must survive source edits.
-    std::string journal_key;
-    if (key.cacheable) {
-        journal_key = key.hash;
-    } else {
-        FingerprintHasher weak;
-        hashConfig(weak, point.cfg);
-        weak.add("weak_id", point.id);
-        weak.add("scale", point.scale);
-        journal_key = weak.hex();
+    if (!key.cacheable) {
+        cache_->countBypassed();
+        return runPoint(point);
     }
-
     SweepResult r;
-    if (journal_ && journal_->lookup(point.id, journal_key, &r.stats)) {
-        r.ok = true;
-        r.source = SweepResult::Source::Resumed;
-        if (cache_)
-            cache_->countResumed();
-        return r;
-    }
-    if (cache_ && key.cacheable && cache_->lookup(key.hash, &r.stats)) {
+    if (cache_->lookup(key.hash, &r.stats)) {
         r.ok = true;
         r.source = SweepResult::Source::CacheHit;
         cache_->countHit();
-        // Journal the hit too, so resuming an interrupted warm run
-        // replays it without even touching the object store.
-        if (journal_)
-            journal_->record(point.id, journal_key, r.stats);
         return r;
     }
-    if (cache_) {
-        if (key.cacheable)
-            cache_->countMiss();
-        else
-            cache_->countBypassed();
-    }
+    cache_->countMiss();
     r = runPoint(point);
-    if (r.ok) {
-        if (cache_ && key.cacheable)
-            cache_->store(key.hash, point.id, r.stats);
-        if (journal_)
-            journal_->record(point.id, journal_key, r.stats);
-    }
+    if (r.ok)
+        cache_->store(key.hash, point.id, r.stats);
     return r;
 }
 
@@ -578,7 +529,6 @@ sweepToJson(const std::string &bench_name, unsigned jobs,
         cj.set("misses", c.misses);
         cj.set("stored", c.stored);
         cj.set("bypassed", c.bypassed);
-        cj.set("resumed", c.resumed);
         doc.set("cache", std::move(cj));
     }
     Json arr = Json::array();

@@ -28,7 +28,6 @@ using Gpu = GpuSystem;
 namespace bowsim::harness {
 
 class ResultCache;
-class ResumeJournal;
 
 /** One independent simulation in a sweep. */
 struct SweepPoint {
@@ -103,7 +102,7 @@ struct SweepPoint {
 struct SweepResult {
     /** How the result was obtained (sweep artifacts do not record
      *  this — cold and warm runs must emit identical points). */
-    enum class Source { Simulated, CacheHit, Resumed };
+    enum class Source { Simulated, CacheHit };
 
     bool ok = false;
     KernelStats stats;
@@ -116,8 +115,9 @@ struct SweepResult {
 };
 
 /**
- * Worker count: explicit @p requested if nonzero, else the BOWSIM_JOBS
- * environment variable, else the hardware concurrency (at least 1).
+ * Worker count: explicit @p requested if nonzero, else the hardware
+ * concurrency (at least 1). The benches parse --jobs / BOWSIM_JOBS
+ * themselves and pass the result here.
  */
 unsigned resolveJobs(unsigned requested = 0);
 
@@ -139,23 +139,14 @@ class SweepRunner {
     void setPointCallback(PointCallback cb) { callback_ = std::move(cb); }
 
     /**
-     * Attaches a persistent result cache (docs/BENCH.md, "Result cache
-     * & resume"): before dispatching a point to a worker the runner
-     * consults the cache and serves a fingerprint hit without
-     * simulating; misses simulate and (rw mode) store their result.
-     * Points with side outputs (tracePath/metricsPath) and points the
-     * fingerprinter cannot key bypass the cache and are counted as
-     * such. @p cache must outlive run(); nullptr detaches.
+     * Attaches a persistent result cache (docs/BENCH.md, "Result
+     * cache"): the runner serves a fingerprint hit without simulating;
+     * misses simulate and (rw mode) store their result. Points that
+     * fingerprintPoint() declares not cacheable (side outputs, unsalted
+     * gpuBody closures) always simulate and count as bypassed.
+     * @p cache must outlive run(); nullptr detaches.
      */
     void setCache(ResultCache *cache) { cache_ = cache; }
-
-    /**
-     * Attaches a resume journal: every completed (ok) point is
-     * journaled, and points already journaled under a matching key are
-     * served without simulation (--resume). @p journal must outlive
-     * run(); nullptr detaches.
-     */
-    void setJournal(ResumeJournal *journal) { journal_ = journal; }
 
     /**
      * Runs every point and returns results in submission order. With
@@ -169,7 +160,6 @@ class SweepRunner {
     unsigned jobs_;
     PointCallback callback_;
     ResultCache *cache_ = nullptr;
-    ResumeJournal *journal_ = nullptr;
 };
 
 /**
@@ -198,7 +188,7 @@ Json configToJson(const GpuConfig &cfg);
  * Builds the BENCH_*.json artifact document for one finished sweep:
  * { "bench", "jobs", ["cache"], "points": [ {id, kernel, ok, config,
  * stats|error} ] }. When @p cache is non-null a "cache" block records
- * its mode and hit/miss/stored/bypassed/resumed counters (validated by
+ * its mode and hit/miss/stored/bypassed counters (validated by
  * json_check); the "points" array is identical either way, so cold and
  * warm runs differ only in that block.
  */

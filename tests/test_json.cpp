@@ -270,7 +270,7 @@ TEST(JsonCheckLitmus, EvidenceMissingFieldFails)
 /** A minimal valid sweep artifact with a "cache" block. */
 Json
 cachedSweepDoc(const char *mode, int hits, int misses, int stored,
-               int bypassed, int resumed)
+               int bypassed)
 {
     Json cfg = Json::object();
     cfg.set("idle_skip", true);
@@ -292,7 +292,6 @@ cachedSweepDoc(const char *mode, int hits, int misses, int stored,
     cache.set("misses", misses);
     cache.set("stored", stored);
     cache.set("bypassed", bypassed);
-    cache.set("resumed", resumed);
     Json d = Json::object();
     d.set("bench", "unit");
     d.set("jobs", 1);
@@ -304,13 +303,13 @@ cachedSweepDoc(const char *mode, int hits, int misses, int stored,
 TEST(JsonCheckCache, ValidBlockPassesAndIsReported)
 {
     const harness::CheckResult hit =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 0, 0, 0, 0),
+        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 0, 0, 0),
                                     1, 1);
     EXPECT_TRUE(hit.ok) << hit.message;
     EXPECT_NE(hit.message.find("1 hit"), std::string::npos) << hit.message;
 
     const harness::CheckResult miss =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0));
     EXPECT_TRUE(miss.ok) << miss.message;
 }
 
@@ -319,7 +318,7 @@ TEST(JsonCheckCache, ExpectedHitsRequireABlock)
     // A sweep run without --cache emits no block; asking the checker to
     // assert a hit count against it must fail loudly (the CI warm-run
     // gate depends on this).
-    Json doc = cachedSweepDoc("rw", 1, 0, 0, 0, 0);
+    Json doc = cachedSweepDoc("rw", 1, 0, 0, 0);
     doc = mutated(doc, "\"cache\":", "\"cache_disabled\":");
     EXPECT_TRUE(harness::checkSweepArtifact(doc, 1).ok);
     const harness::CheckResult r = harness::checkSweepArtifact(doc, 1, 1);
@@ -330,7 +329,7 @@ TEST(JsonCheckCache, ExpectedHitsRequireABlock)
 TEST(JsonCheckCache, HitCountMismatchFails)
 {
     const harness::CheckResult r =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0, 0),
+        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 1, 0),
                                     1, 1);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.message.find("expected 1"), std::string::npos)
@@ -339,42 +338,42 @@ TEST(JsonCheckCache, HitCountMismatchFails)
 
 TEST(JsonCheckCache, CounterInvariantsAreEnforced)
 {
-    // hits + misses + bypassed + resumed must equal the point count.
+    // hits + misses + bypassed must equal the point count.
     const harness::CheckResult sum =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 1, 0, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("rw", 1, 1, 0, 0));
     EXPECT_FALSE(sum.ok);
     EXPECT_NE(sum.message.find("sum"), std::string::npos) << sum.message;
 
     // stored is a subset of misses.
     const harness::CheckResult stored =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 2, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("rw", 0, 1, 2, 0));
     EXPECT_FALSE(stored.ok);
     EXPECT_NE(stored.message.find("stored"), std::string::npos)
         << stored.message;
 
     // A read-only cache cannot have written records.
     const harness::CheckResult ro =
-        harness::checkSweepArtifact(cachedSweepDoc("ro", 0, 1, 1, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("ro", 0, 1, 1, 0));
     EXPECT_FALSE(ro.ok);
     EXPECT_NE(ro.message.find("read-only"), std::string::npos)
         << ro.message;
 
     // "off" never emits a block, so a block claiming it is malformed.
     const harness::CheckResult off =
-        harness::checkSweepArtifact(cachedSweepDoc("off", 0, 1, 0, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("off", 0, 1, 0, 0));
     EXPECT_FALSE(off.ok);
     EXPECT_NE(off.message.find("mode"), std::string::npos) << off.message;
 
     // Negative and missing counters are malformed.
     const harness::CheckResult neg =
-        harness::checkSweepArtifact(cachedSweepDoc("rw", -1, 2, 0, 0, 0));
+        harness::checkSweepArtifact(cachedSweepDoc("rw", -1, 2, 0, 0));
     EXPECT_FALSE(neg.ok);
-    const Json dropped = mutated(cachedSweepDoc("rw", 1, 0, 0, 0, 0),
-                                 "\"resumed\":0", "\"resumed\":null");
+    const Json dropped = mutated(cachedSweepDoc("rw", 1, 0, 0, 0),
+                                 "\"bypassed\":0", "\"bypassed\":null");
     const harness::CheckResult miss =
         harness::checkSweepArtifact(dropped);
     EXPECT_FALSE(miss.ok);
-    EXPECT_NE(miss.message.find("resumed"), std::string::npos)
+    EXPECT_NE(miss.message.find("bypassed"), std::string::npos)
         << miss.message;
 }
 
@@ -382,8 +381,8 @@ TEST(JsonCheckCache, ComparePointsAcceptsOnlyByteIdenticalArrays)
 {
     // Cold (all misses) vs warm (all hits): cache blocks differ, the
     // points arrays must not.
-    const Json cold = cachedSweepDoc("rw", 0, 1, 1, 0, 0);
-    const Json warm = cachedSweepDoc("rw", 1, 0, 0, 0, 0);
+    const Json cold = cachedSweepDoc("rw", 0, 1, 1, 0);
+    const Json warm = cachedSweepDoc("rw", 1, 0, 0, 0);
     const harness::CheckResult same =
         harness::compareSweepPoints(cold, warm);
     EXPECT_TRUE(same.ok) << same.message;

@@ -16,11 +16,11 @@
 
 /**
  * @file
- * The persistent result cache (docs/BENCH.md, "Result cache & resume"):
+ * The persistent result cache (docs/BENCH.md, "Result cache"):
  * fingerprint stability and per-field sensitivity, the statsToJson /
  * statsFromJson inverse pair that cache records depend on, record
  * corruption and crash-leftover tolerance, ro vs rw semantics, and
- * resume-journal replay through the sweep runner.
+ * resuming an interrupted sweep through the sweep runner.
  */
 
 namespace bowsim {
@@ -34,7 +34,6 @@ using harness::FingerprintHasher;
 using harness::Json;
 using harness::PointKey;
 using harness::ResultCache;
-using harness::ResumeJournal;
 using harness::SweepPoint;
 using harness::SweepResult;
 using harness::SweepRunner;
@@ -494,6 +493,27 @@ TEST(Fingerprint, OpaquePointsAreNotCacheable)
     EXPECT_FALSE(harness::fingerprintPoint(unknown).cacheable);
 }
 
+TEST(Fingerprint, SideOutputPointsAreNotCacheable)
+{
+    // A cache hit would not regenerate a trace, metrics series, sync
+    // report or profile text, so each side output alone opts out.
+    const std::vector<void (*)(SweepPoint &)> side_outputs = {
+        [](SweepPoint &p) { p.tracePath = "t.json"; },
+        [](SweepPoint &p) { p.metricsPath = "m.json"; },
+        [](SweepPoint &p) { p.syncReportPath = "s.json"; },
+        [](SweepPoint &p) { p.syncProfile = true; },
+    };
+    for (std::size_t i = 0; i < side_outputs.size(); ++i) {
+        SweepPoint p = registryPoint();
+        side_outputs[i](p);
+        const PointKey key = harness::fingerprintPoint(p);
+        EXPECT_FALSE(key.cacheable) << "side output " << i;
+        EXPECT_TRUE(key.hash.empty()) << "side output " << i;
+        EXPECT_NE(key.reason.find("side output"), std::string::npos)
+            << key.reason;
+    }
+}
+
 TEST(Fingerprint, SaltedGpuBodyPointsKeyOnTheSalt)
 {
     SweepPoint a = registryPoint();
@@ -661,63 +681,6 @@ TEST(ResultCache, ModeParsingAndNames)
     EXPECT_STREQ(harness::toString(CacheMode::ReadWrite), "rw");
 }
 
-// --- the resume journal ------------------------------------------------
-
-TEST(ResumeJournal, RecordsReplayOnResume)
-{
-    TempDir td("journal_replay");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    const KernelStats s = fullStats();
-    {
-        ResumeJournal j(path, /*resume=*/false, /*writable=*/true);
-        EXPECT_EQ(j.loadedEntries(), 0u);
-        j.record("p0", "key0", s);
-        j.record("p1", "key1", s);
-    }
-    ResumeJournal j(path, /*resume=*/true, /*writable=*/true);
-    EXPECT_EQ(j.loadedEntries(), 2u);
-    KernelStats out;
-    ASSERT_TRUE(j.lookup("p0", "key0", &out));
-    EXPECT_EQ(harness::statsToJson(out).dump(),
-              harness::statsToJson(s).dump());
-    // Key mismatch (the sweep definition changed) re-simulates.
-    EXPECT_FALSE(j.lookup("p0", "other-key", &out));
-    EXPECT_FALSE(j.lookup("p2", "key0", &out));
-}
-
-TEST(ResumeJournal, ToleratesATornFinalLine)
-{
-    TempDir td("journal_torn");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    {
-        ResumeJournal j(path, false, true);
-        j.record("p0", "key0", fullStats());
-        j.record("p1", "key1", fullStats());
-    }
-    // A crash mid-append leaves a truncated last line.
-    std::ofstream(path, std::ios::app) << "{\"id\":\"p2\",\"key\":\"ke";
-    ResumeJournal j(path, true, true);
-    EXPECT_EQ(j.loadedEntries(), 2u);
-    KernelStats out;
-    EXPECT_TRUE(j.lookup("p1", "key1", &out));
-    EXPECT_FALSE(j.lookup("p2", "key2", &out));
-}
-
-TEST(ResumeJournal, FreshRunDiscardsThePreviousJournal)
-{
-    TempDir td("journal_fresh");
-    const std::string path = (td.path / "sweep.jsonl").string();
-    {
-        ResumeJournal j(path, false, true);
-        j.record("p0", "key0", fullStats());
-    }
-    // resume=false: the stale journal must not leak into this run.
-    ResumeJournal fresh(path, false, true);
-    EXPECT_EQ(fresh.loadedEntries(), 0u);
-    KernelStats out;
-    EXPECT_FALSE(fresh.lookup("p0", "key0", &out));
-}
-
 // --- through the sweep runner ------------------------------------------
 
 TEST(CacheIntegration, WarmRunServesEveryPointBitIdentically)
@@ -813,7 +776,7 @@ TEST(CacheIntegration, SideOutputsAndOpaquePointsBypass)
     EXPECT_TRUE(fs::exists(traced.tracePath));
 }
 
-TEST(CacheIntegration, ResumeReplaysOnlyCompletedPoints)
+TEST(CacheIntegration, InterruptedRwRunResumesFromTheObjectStore)
 {
     TempDir td("integration_resume");
     const std::vector<SweepPoint> points = smallSweep();
@@ -821,39 +784,41 @@ TEST(CacheIntegration, ResumeReplaysOnlyCompletedPoints)
     // Interrupted run: only the first two points completed.
     {
         ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
         SweepRunner runner(1);
         runner.setCache(&cache);
-        runner.setJournal(&journal);
         const std::vector<SweepPoint> half(points.begin(),
                                            points.begin() + 2);
         runner.run(half);
+        EXPECT_EQ(cache.counters().stored, 2u);
     }
 
+    // Re-running the same rw command serves the completed points as
+    // hits and simulates (and stores) the rest.
     ResultCache cache(td.str(), CacheMode::ReadWrite);
-    ResumeJournal journal(cache.journalPath("unit"), true, true);
-    EXPECT_EQ(journal.loadedEntries(), 2u);
     SweepRunner runner(1);
     runner.setCache(&cache);
-    runner.setJournal(&journal);
     const std::vector<SweepResult> results = runner.run(points);
     ASSERT_EQ(results.size(), points.size());
-    EXPECT_EQ(results[0].source, SweepResult::Source::Resumed);
-    EXPECT_EQ(results[1].source, SweepResult::Source::Resumed);
+    EXPECT_EQ(results[0].source, SweepResult::Source::CacheHit);
+    EXPECT_EQ(results[1].source, SweepResult::Source::CacheHit);
     EXPECT_EQ(results[2].source, SweepResult::Source::Simulated);
     EXPECT_EQ(results[3].source, SweepResult::Source::Simulated);
     const CacheCounters c = cache.counters();
-    EXPECT_EQ(c.resumed, 2u);
+    EXPECT_EQ(c.hits, 2u);
     EXPECT_EQ(c.misses, 2u);
     EXPECT_EQ(c.stored, 2u);
-    EXPECT_EQ(c.hits + c.misses + c.bypassed + c.resumed, points.size());
+    EXPECT_EQ(c.hits + c.misses + c.bypassed, points.size());
 }
 
-TEST(CacheIntegration, NonCacheablePointsStillResumeViaWeakKey)
+TEST(CacheIntegration, NonCacheablePointsSimulateOnEveryRun)
 {
-    TempDir td("integration_weak");
+    // An unsalted gpuBody closure may fill side tables the stats do not
+    // carry, so it must run on every sweep, never be replayed.
+    TempDir td("integration_opaque");
+    int runs = 0;
     SweepPoint opaque = registryPoint("opaque");
-    opaque.gpuBody = [](Gpu &) {
+    opaque.gpuBody = [&runs](Gpu &) {
+        ++runs;
         KernelStats s;
         s.kernel = "custom";
         s.cycles = 42;
@@ -861,54 +826,38 @@ TEST(CacheIntegration, NonCacheablePointsStillResumeViaWeakKey)
     };
     const std::vector<SweepPoint> points = {opaque};
 
-    {
+    for (int sweep = 1; sweep <= 2; ++sweep) {
         ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
         SweepRunner runner(1);
         runner.setCache(&cache);
-        runner.setJournal(&journal);
-        const std::vector<SweepResult> first = runner.run(points);
-        ASSERT_TRUE(first[0].ok);
-        // Simulated (the object store cannot key it)...
-        EXPECT_EQ(cache.counters().bypassed, 1u);
-        EXPECT_EQ(cache.counters().stored, 0u);
+        const std::vector<SweepResult> results = runner.run(points);
+        ASSERT_TRUE(results[0].ok);
+        EXPECT_EQ(results[0].source, SweepResult::Source::Simulated);
+        EXPECT_EQ(results[0].stats.cycles, 42u);
+        EXPECT_EQ(runs, sweep);
+        const CacheCounters c = cache.counters();
+        EXPECT_EQ(c.bypassed, 1u);
+        EXPECT_EQ(c.hits, 0u);
+        EXPECT_EQ(c.stored, 0u);
     }
-    // ...but journaled under the weak (config, id, scale) key, so a
-    // resumed sweep does not redo it.
-    ResultCache cache(td.str(), CacheMode::ReadWrite);
-    ResumeJournal journal(cache.journalPath("unit"), true, true);
-    EXPECT_EQ(journal.loadedEntries(), 1u);
-    SweepRunner runner(1);
-    runner.setCache(&cache);
-    runner.setJournal(&journal);
-    const std::vector<SweepResult> again = runner.run(points);
-    ASSERT_TRUE(again[0].ok);
-    EXPECT_EQ(again[0].source, SweepResult::Source::Resumed);
-    EXPECT_EQ(again[0].stats.cycles, 42u);
-    EXPECT_EQ(cache.counters().resumed, 1u);
+    EXPECT_EQ(runs, 2);
 }
 
-TEST(CacheIntegration, FailedPointsAreNeitherStoredNorJournaled)
+TEST(CacheIntegration, FailedPointsAreNotStored)
 {
     TempDir td("integration_fail");
     SweepPoint doomed = registryPoint("doomed");
     doomed.cfg.watchdogCycles = 10;  // spinning kernel cannot finish
     const std::vector<SweepPoint> points = {doomed};
 
-    {
-        ResultCache cache(td.str(), CacheMode::ReadWrite);
-        ResumeJournal journal(cache.journalPath("unit"), false, true);
-        SweepRunner runner(1);
-        runner.setCache(&cache);
-        runner.setJournal(&journal);
-        const std::vector<SweepResult> results = runner.run(points);
-        ASSERT_FALSE(results[0].ok);
-        EXPECT_EQ(cache.counters().stored, 0u);
-    }
-    ResumeJournal journal(ResultCache(td.str(), CacheMode::ReadWrite)
-                              .journalPath("unit"),
-                          true, true);
-    EXPECT_EQ(journal.loadedEntries(), 0u);
+    ResultCache cache(td.str(), CacheMode::ReadWrite);
+    SweepRunner runner(1);
+    runner.setCache(&cache);
+    const std::vector<SweepResult> results = runner.run(points);
+    ASSERT_FALSE(results[0].ok);
+    EXPECT_EQ(cache.counters().misses, 1u);
+    EXPECT_EQ(cache.counters().stored, 0u);
+    EXPECT_TRUE(fs::is_empty(td.path / "objects"));
 }
 
 }  // namespace
