@@ -1,6 +1,7 @@
 #include "src/harness/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,8 +23,12 @@ Json::asInt() const
 {
     if (type_ == Type::Int)
         return int_;
-    if (type_ == Type::Double)
+    // [-2^63, 2^63): the int64 range, exactly representable as doubles.
+    if (type_ == Type::Double && double_ == std::trunc(double_) &&
+        double_ >= -0x1p63 && double_ < 0x1p63)
         return static_cast<std::int64_t>(double_);
+    if (type_ == Type::Double)
+        fatal("json: asInt on a non-integer or out-of-range number");
     fatal("json: asInt on a non-number value");
 }
 
@@ -395,16 +400,24 @@ class Parser {
                 break;
             }
         }
-        if (pos_ == start)
-            fatal("json: bad number at offset ", start);
-        std::string tok = text_.substr(start, pos_ - start);
+        // The whole token must parse: "-", "--5", "1.2.3" and "1e" are
+        // malformed, not a prefix's value. An integer too large for
+        // int64 is kept as a double; a double out of range is malformed.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
-            errno = 0;
-            long long v = std::strtoll(tok.c_str(), nullptr, 10);
-            if (errno == 0)
-                return Json(static_cast<std::int64_t>(v));
+            std::int64_t v = 0;
+            const auto [ptr, ec] = std::from_chars(first, last, v);
+            if (ec == std::errc() && ptr == last)
+                return Json(v);
+            if (ec != std::errc::result_out_of_range)
+                fatal("json: bad number at offset ", start);
         }
-        return Json(std::strtod(tok.c_str(), nullptr));
+        double d = 0.0;
+        const auto [ptr, ec] = std::from_chars(first, last, d);
+        if (ec != std::errc() || ptr != last)
+            fatal("json: bad number at offset ", start);
+        return Json(d);
     }
 
     Json

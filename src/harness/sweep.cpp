@@ -353,10 +353,20 @@ statsToJson(const KernelStats &s)
 
 namespace {
 
+/** A counter: a negative value is a corrupt record, not 2^64 - n. */
+std::uint64_t
+toU64(const Json &v, const char *key)
+{
+    const std::int64_t n = v.asInt();
+    if (n < 0)
+        fatal("statsFromJson: negative \"", key, "\"");
+    return static_cast<std::uint64_t>(n);
+}
+
 std::uint64_t
 getU64(const Json &obj, const char *key)
 {
-    return static_cast<std::uint64_t>(obj.at(key).asInt());
+    return toU64(obj.at(key), key);
 }
 
 }  // namespace
@@ -415,7 +425,7 @@ statsFromJson(const Json &j)
         const Json &peaks = sched.at("peak_resident_per_sm");
         for (const Json &p : peaks.items())
             s.peakResidentPerSm.push_back(
-                static_cast<std::uint64_t>(p.asInt()));
+                toU64(p, "peak_resident_per_sm"));
     }
 
     const Json &ddos = j.at("ddos");
@@ -435,8 +445,7 @@ statsFromJson(const Json &j)
         s.stallWarpsPerSm =
             static_cast<unsigned>(getU64(table, "warps_per_sm"));
         for (const Json &c : table.at("counts").items())
-            s.stallCounts.push_back(
-                static_cast<std::uint64_t>(c.asInt()));
+            s.stallCounts.push_back(toU64(c, "stall_table"));
         if (s.stallCounts.empty())
             fatal("statsFromJson: empty stall_table counts");
     }
@@ -445,8 +454,7 @@ statsFromJson(const Json &j)
         s.unitsPerSm =
             static_cast<unsigned>(getU64(units, "units_per_sm"));
         for (const Json &c : units.at("counts").items())
-            s.unitIssues.push_back(
-                static_cast<std::uint64_t>(c.asInt()));
+            s.unitIssues.push_back(toU64(c, "unit_issues"));
         if (s.unitIssues.empty())
             fatal("statsFromJson: empty unit_issues counts");
     }

@@ -8,11 +8,11 @@
 
 /**
  * @file
- * Shared ISA execution semantics, lifted out of the cycle-accurate
- * pipeline path so the fast-functional interpreter (src/sim/functional)
- * and SmCore execute instructions through one definition. Everything
- * here is pure functional behaviour: no timing, no statistics — callers
- * do their own accounting.
+ * Per-lane ISA semantics: ALU results, comparisons, special registers
+ * and atomic read-modify-writes. Pure functional behaviour: no timing,
+ * no statistics. executeDataPath (src/sim/sm_core.hpp) applies them
+ * over a warp's lanes for both execution modes, which share that one
+ * data path and differ only in control flow, timing and clock source.
  */
 
 namespace bowsim::exec {

@@ -12,7 +12,8 @@
  * @file
  * Fast-functional execution (ExecMode::Functional): ISA semantics only,
  * interpreted warp-at-a-time against functional memory with IPDOM
- * reconvergence. No scoreboard, pipeline, cache or DRAM state exists;
+ * reconvergence, through cycle mode's lane data path (executeDataPath,
+ * src/sim/sm_core.hpp). No scoreboard, pipeline, cache or DRAM state exists;
  * KernelStats::cycles stays 0 and only instruction/outcome counters are
  * collected.
  *
@@ -41,9 +42,6 @@ class FunctionalExecutor {
     static constexpr std::uint64_t kSliceInstructions = 16;
 
     FunctionalExecutor(const GpuConfig &cfg, LaunchState &launch);
-
-    /** Runs the kernel to completion. */
-    void run();
 
     /**
      * Runs until at least @p max_instr more warp instructions execute
@@ -78,8 +76,6 @@ class FunctionalExecutor {
     void onWarpFinished(FSm &sm, FCta &cta, Warp &w);
     /** Runs one warp turn; returns instructions executed. */
     std::uint64_t runWarpSlice(unsigned sm_id, FCta &cta, Warp &w);
-    Word readOperand(const Warp &w, const Operand &op, unsigned lane,
-                     unsigned sm_id) const;
     const Instruction &fetch(Pc pc) const;
 
     const GpuConfig &cfg_;

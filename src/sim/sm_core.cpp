@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "src/common/log.hpp"
 #include "src/isa/exec.hpp"
@@ -20,6 +21,59 @@ unsigned
 firstLane(LaneMask m)
 {
     return static_cast<unsigned>(std::countr_zero(m));
+}
+
+/** Source operand @p op of @p w at @p lane (a missing operand panics). */
+Word
+readOperand(const Warp &w, const Operand &op, const exec::ThreadCtx &ctx,
+            unsigned lane)
+{
+    switch (op.kind) {
+      case Operand::Kind::Reg:
+        return w.regs().read(lane, op.index);
+      case Operand::Kind::Imm:
+        return op.imm;
+      case Operand::Kind::Pred:
+        return w.regs().readPred(lane, op.index) ? 1 : 0;
+      case Operand::Kind::Special:
+        return exec::readSpecial(static_cast<SpecialReg>(op.index), ctx,
+                                 lane);
+      case Operand::Kind::None:
+        panic("readOperand on a missing operand");
+    }
+    return 0;
+}
+
+/**
+ * A source operand resolved once per instruction: register sources
+ * become row pointers and immediates constants; only predicate and
+ * special-register sources keep a per-lane read. A missing operand
+ * reads as 0.
+ */
+struct SrcRef {
+    const Word *row = nullptr;
+    const Operand *op = nullptr;
+    Word imm = 0;
+};
+
+SrcRef
+resolve(const Warp &w, const Operand &o)
+{
+    SrcRef s;
+    switch (o.kind) {
+      case Operand::Kind::Reg:
+        s.row = w.regs().row(o.index);
+        break;
+      case Operand::Kind::Imm:
+        s.imm = o.imm;
+        break;
+      case Operand::Kind::None:
+        break;
+      default:
+        s.op = &o;
+        break;
+    }
+    return s;
 }
 
 }  // namespace
@@ -281,312 +335,164 @@ SmCore::spinningWarpCount() const
     return n;
 }
 
-Word
-SmCore::readOperand(Warp &w, const Operand &op, unsigned lane) const
-{
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        return w.regs().read(lane, op.index);
-      case Operand::Kind::Imm:
-        return op.imm;
-      case Operand::Kind::Pred:
-        return w.regs().readPred(lane, op.index) ? 1 : 0;
-      case Operand::Kind::Special:
-        return exec::readSpecial(
-            static_cast<SpecialReg>(op.index),
-            exec::ThreadCtx{w.warpInCta(), w.cta(), blockThreads_,
-                            gridCtas_, id_},
-            lane);
-      case Operand::Kind::None:
-        panic("readOperand on a missing operand");
-    }
-    return 0;
-}
-
 void
-SmCore::executeAlu(Warp &w, const Instruction &inst, LaneMask exec,
-                   Cycle now)
+executeDataPath(LaunchState &launch, Warp &w, const Instruction &inst,
+                LaneMask exec, std::vector<std::uint8_t> &shared,
+                const exec::ThreadCtx &ctx, Cycle clock,
+                syncprof::SyncProf sync, std::array<Addr, kWarpSize> &addrs)
 {
-    KernelStats &st = stats_;
-    const bool is_setp = inst.op == Opcode::Setp;
-    // Per-instruction facts hoisted out of the per-lane loop: the PC (and
-    // thus the wait-check set membership) and operand validity cannot
-    // change between lanes.
-    const bool is_wait_check =
-        is_setp && (launch_.pcFlags[w.stack().pc()] &
-                    LaunchState::kPcWaitCheck) != 0;
-
-    // DDOS profiles the first active thread of the warp at every setp.
-    if (is_setp) {
-        LaneMask active = w.stack().activeMask();
-        if (active != 0) {
-            unsigned lane = firstLane(active);
-            Word v0 = readOperand(w, inst.src[0], lane);
-            Word v1 = readOperand(w, inst.src[1], lane);
-            ddos_->onSetp(w.id(), w.stack().pc(), v0, v1, now);
-        }
-    }
-
-    // Operand access is resolved once per instruction instead of once
-    // per lane: register sources become contiguous row pointers and
-    // immediates become constants; only predicate/special sources keep
-    // the generic readOperand path. A missing operand reads as 0, as
-    // the old per-lane defaulting did.
-    struct SrcRef {
-        const Word *row = nullptr;
-        const Operand *op = nullptr;
-        Word imm = 0;
-    };
-    auto resolve = [&](const Operand &o) {
-        SrcRef s;
-        switch (o.kind) {
-          case Operand::Kind::Reg:
-            s.row = w.regs().row(o.index);
-            break;
-          case Operand::Kind::Imm:
-            s.imm = o.imm;
-            break;
-          case Operand::Kind::None:
-            break;
-          default:
-            s.op = &o;
-            break;
-        }
-        return s;
-    };
+    KernelStats &st = launch.stats;
+    const std::uint8_t flags = launch.pcFlags[w.stack().pc()];
+    const SrcRef a = resolve(w, inst.src[0]);
+    const SrcRef b = resolve(w, inst.src[1]);
+    const SrcRef c = resolve(w, inst.src[2]);
     auto get = [&](const SrcRef &s, unsigned lane) -> Word {
         if (s.row)
             return s.row[lane];
         if (s.op)
-            return readOperand(w, *s.op, lane);
+            return readOperand(w, *s.op, ctx, lane);
         return s.imm;
     };
+    // Memory opcodes address src[0] + offset; the address is also
+    // recorded for the caller's LD/ST timing model (ld.param's is
+    // unused: it has ALU timing).
+    auto address = [&](unsigned lane) {
+        const Addr addr = static_cast<Addr>(get(a, lane) + inst.memOffset);
+        addrs[lane] = addr;
+        return addr;
+    };
+    auto sharedAt = [&](Addr addr) {
+        if (addr + inst.size > shared.size())
+            simFatal("shared-memory access out of bounds in '",
+                     launch.prog->name, "' (addr ", addr, ")");
+        return shared.data() + addr;
+    };
 
-    if (exec != 0) {
-        switch (inst.op) {
-          case Opcode::Setp: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            LaneMask &pred = w.regs().predRow(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                const bool r =
-                    exec::compare(inst.cmp, get(a, lane), get(b, lane));
-                const LaneMask bit = LaneMask{1} << lane;
-                pred = r ? (pred | bit) : (pred & ~bit);
-                if (is_wait_check) {
-                    if (r)
-                        ++st.outcomes.waitExitSuccess;
-                    else
-                        ++st.outcomes.waitExitFail;
-                }
-            }
-            break;
-          }
-          case Opcode::Selp: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const LaneMask pbits = w.regs().predBits(inst.src[2].index);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] =
-                    ((pbits >> lane) & 1) ? get(a, lane) : get(b, lane);
-            }
-            break;
-          }
-          case Opcode::Clock: {
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1)
-                dst[firstLane(rest)] = static_cast<Word>(now);
-            break;
-          }
-          case Opcode::Ld: {
-            // ld.param: constant access, ALU-class latency.
-            const SrcRef base = resolve(inst.src[0]);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                Addr offset =
-                    static_cast<Addr>(get(base, lane) + inst.memOffset);
-                unsigned index = static_cast<unsigned>(offset / 8);
-                if (index >= launch_.params.size())
-                    simFatal("ld.param index ", index,
-                             " out of range in '", launch_.prog->name,
-                             "'");
-                dst[lane] = launch_.params[index];
-            }
-            break;
-          }
-          default: {
-            const SrcRef a = resolve(inst.src[0]);
-            const SrcRef b = resolve(inst.src[1]);
-            const SrcRef c = resolve(inst.src[2]);
-            Word *dst = w.regs().row(inst.dst.index);
-            for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-                const unsigned lane = firstLane(rest);
-                dst[lane] = exec::aluCompute(inst, get(a, lane),
-                                             get(b, lane), get(c, lane));
-            }
-            break;
-          }
-        }
-    }
-
-    if (inst.dst.valid()) {
-        w.scoreboard().reserve(inst);
-        unsigned latency =
-            inst.longLatency() ? cfg_.mulDivLatency : cfg_.aluLatency;
-        if (latency == 0)
-            latency = 1;  // a zero-latency writeback still lands next cycle
-        wbRing_[(now + latency) % wbRingSize_].push_back(WbEvent{&w, &inst});
-        ++wbPending_;
-    }
-}
-
-void
-SmCore::executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
-                          Addr addr, bool is_acquire)
-{
-    Word operand = readOperand(w, inst.src[1], lane);
-    Word desired = inst.atom == AtomOp::Cas
-                       ? readOperand(w, inst.src[2], lane)
-                       : 0;
-    // Warp key: the device-wide age offset by the device's key base —
-    // globally unique across devices and nonzero.
-    const std::uint64_t warp_key = launch_.warpKeyBase + w.age() + 1;
-    exec::AtomicResult r = exec::applyAtomicLane(
-        *launch_.mem, launch_.locks(), inst, addr, operand, desired,
-        warp_key);
-    if (syncOn_) {
-        // Release = an exchange (the TAS-family unlock) or a successful
-        // CAS that stored the free sentinel 0; plain-store unlocks reach
-        // the profiler through execGlobalStore's onWrite hook instead.
-        const bool failed = r.isCas && r.cas != CasOutcome::Success;
-        const bool releases =
-            inst.atom == AtomOp::Exch ||
-            (r.isCas && r.cas == CasOutcome::Success && desired == 0);
-        sync_.onAtomic(addr, warp_key, now_, r.isCas, failed, is_acquire,
-                       releases);
-    }
-    if (r.isCas && is_acquire) {
-        KernelStats &st = stats_;
-        switch (r.cas) {
-          case CasOutcome::Success:
-            ++st.outcomes.lockSuccess;
-            break;
-          case CasOutcome::InterWarpFail:
-            ++st.outcomes.interWarpFail;
-            break;
-          case CasOutcome::IntraWarpFail:
-            ++st.outcomes.intraWarpFail;
-            break;
-        }
-    }
-    if (inst.dst.valid())
-        w.regs().write(lane, inst.dst.index, r.old);
-}
-
-void
-SmCore::executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
-                      bool sync, Cycle now)
-{
-    if (exec == 0)
-        return;  // fully predicated off: no transaction, no hazard
-
-    std::array<Addr, kWarpSize> addrs{};
-    if (inst.src[0].isReg()) {
-        // Common case: the address base lives in a register row.
-        const Word *base = w.regs().row(inst.src[0].index);
+    switch (inst.op) {
+      case Opcode::Ld: {
+        Word *dst = w.regs().row(inst.dst.index);
         for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
             const unsigned lane = firstLane(rest);
-            addrs[lane] = static_cast<Addr>(base[lane] + inst.memOffset);
-        }
-    } else {
-        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-            const unsigned lane = firstLane(rest);
-            Word base = readOperand(w, inst.src[0], lane);
-            addrs[lane] = static_cast<Addr>(base + inst.memOffset);
-        }
-    }
-
-    if (inst.space == MemSpace::Shared) {
-        Cta &cta = ctas_.at(w.id() / warpsPerCta_);
-        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-            const unsigned lane = firstLane(rest);
-            Addr a = addrs[lane];
-            if (a + inst.size > cta.shared.size())
-                simFatal("shared-memory access out of bounds in '",
-                         launch_.prog->name, "' (addr ", a, ")");
-            if (inst.op == Opcode::Ld) {
+            if (inst.space == MemSpace::Param) {
+                // Constant access: params are 8-byte slots.
+                const unsigned index =
+                    static_cast<unsigned>(address(lane) / 8);
+                if (index >= launch.params.size())
+                    simFatal("ld.param index ", index, " out of range in '",
+                             launch.prog->name, "'");
+                dst[lane] = launch.params[index];
+            } else if (inst.space == MemSpace::Shared) {
                 Word v = 0;
-                std::memcpy(&v, cta.shared.data() + a, inst.size);
+                std::memcpy(&v, sharedAt(address(lane)), inst.size);
                 if (inst.size == 4)
                     v = static_cast<Word>(static_cast<std::int32_t>(v));
-                w.regs().write(lane, inst.dst.index, v);
+                dst[lane] = v;
             } else {
-                Word v = readOperand(w, inst.src[1], lane);
-                std::memcpy(cta.shared.data() + a, &v, inst.size);
+                dst[lane] = launch.mem->read(address(lane), inst.size);
             }
         }
-    } else {
-        switch (inst.op) {
-          case Opcode::Ld:
-            execGlobalLoad(w, inst, exec, addrs);
-            break;
-          case Opcode::St:
-            execGlobalStore(w, inst, exec, addrs);
-            break;
-          case Opcode::Atom:
-            execGlobalAtomic(w, inst, exec, addrs,
-                             (launch_.pcFlags[w.stack().pc()] &
-                              LaunchState::kPcLockAcquire) != 0);
-            break;
-          default:
-            panic("executeMemory on non-memory opcode");
+        break;
+      }
+      case Opcode::St:
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+            const unsigned lane = firstLane(rest);
+            const Addr addr = address(lane);
+            const Word v = get(b, lane);
+            if (inst.space == MemSpace::Shared) {
+                std::memcpy(sharedAt(addr), &v, inst.size);
+            } else {
+                launch.mem->write(addr, v, inst.size);
+                launch.locks().onWrite(addr, v);
+                sync.onWrite(addr, clock);
+            }
         }
-    }
-
-    ldst_.submit(&w, inst, addrs, exec, sync, now);
-    if (inst.dst.valid())
-        w.scoreboard().reserve(inst);
-}
-
-void
-SmCore::execGlobalLoad(Warp &w, const Instruction &inst, LaneMask exec,
-                       const std::array<Addr, kWarpSize> &addrs)
-{
-    MemorySpace &mem = *launch_.mem;
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        w.regs().write(lane, inst.dst.index,
-                       mem.read(addrs[lane], inst.size));
-    }
-}
-
-void
-SmCore::execGlobalStore(Warp &w, const Instruction &inst, LaneMask exec,
-                        const std::array<Addr, kWarpSize> &addrs)
-{
-    MemorySpace &mem = *launch_.mem;
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        Word v = readOperand(w, inst.src[1], lane);
-        mem.write(addrs[lane], v, inst.size);
-        launch_.locks().onWrite(addrs[lane], v);
-        if (syncOn_)
-            sync_.onWrite(addrs[lane], now_);
-    }
-}
-
-void
-SmCore::execGlobalAtomic(Warp &w, const Instruction &inst, LaneMask exec,
-                         const std::array<Addr, kWarpSize> &addrs,
-                         bool acquire)
-{
-    for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
-        const unsigned lane = firstLane(rest);
-        executeAtomicLane(w, inst, lane, addrs[lane], acquire);
+        break;
+      case Opcode::Atom: {
+        const bool acquire = (flags & LaunchState::kPcLockAcquire) != 0;
+        // Warp key: the device-wide age offset by the device's key base
+        // — globally unique across devices and nonzero.
+        const std::uint64_t warp_key = launch.warpKeyBase + w.age() + 1;
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+            const unsigned lane = firstLane(rest);
+            const Addr addr = address(lane);
+            const Word operand = get(b, lane);
+            const Word desired =
+                inst.atom == AtomOp::Cas ? get(c, lane) : 0;
+            const exec::AtomicResult r = exec::applyAtomicLane(
+                *launch.mem, launch.locks(), inst, addr, operand, desired,
+                warp_key);
+            if (sync.enabled()) {
+                // Release = an exchange (the TAS-family unlock) or a
+                // successful CAS that stored the free sentinel 0;
+                // plain-store unlocks reach the profiler through the
+                // St path's onWrite hook instead.
+                const bool failed = r.isCas && r.cas != CasOutcome::Success;
+                const bool releases =
+                    inst.atom == AtomOp::Exch ||
+                    (r.isCas && r.cas == CasOutcome::Success &&
+                     desired == 0);
+                sync.onAtomic(addr, warp_key, clock, r.isCas, failed,
+                              acquire, releases);
+            }
+            if (r.isCas && acquire) {
+                switch (r.cas) {
+                  case CasOutcome::Success:
+                    ++st.outcomes.lockSuccess;
+                    break;
+                  case CasOutcome::InterWarpFail:
+                    ++st.outcomes.interWarpFail;
+                    break;
+                  case CasOutcome::IntraWarpFail:
+                    ++st.outcomes.intraWarpFail;
+                    break;
+                }
+            }
+            if (inst.dst.valid())
+                w.regs().write(lane, inst.dst.index, r.old);
+        }
+        break;
+      }
+      case Opcode::Setp: {
+        const bool is_wait_check = (flags & LaunchState::kPcWaitCheck) != 0;
+        LaneMask &pred = w.regs().predRow(inst.dst.index);
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+            const unsigned lane = firstLane(rest);
+            const bool r = exec::compare(inst.cmp, get(a, lane), get(b, lane));
+            const LaneMask bit = LaneMask{1} << lane;
+            pred = r ? (pred | bit) : (pred & ~bit);
+            if (is_wait_check) {
+                if (r)
+                    ++st.outcomes.waitExitSuccess;
+                else
+                    ++st.outcomes.waitExitFail;
+            }
+        }
+        break;
+      }
+      case Opcode::Selp: {
+        const LaneMask pbits = w.regs().predBits(inst.src[2].index);
+        Word *dst = w.regs().row(inst.dst.index);
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+            const unsigned lane = firstLane(rest);
+            dst[lane] = ((pbits >> lane) & 1) ? get(a, lane) : get(b, lane);
+        }
+        break;
+      }
+      case Opcode::Clock: {
+        Word *dst = w.regs().row(inst.dst.index);
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1)
+            dst[firstLane(rest)] = static_cast<Word>(clock);
+        break;
+      }
+      default: {
+        Word *dst = w.regs().row(inst.dst.index);
+        for (LaneMask rest = exec; rest != 0; rest &= rest - 1) {
+            const unsigned lane = firstLane(rest);
+            dst[lane] = exec::aluCompute(inst, get(a, lane), get(b, lane),
+                                         get(c, lane));
+        }
+        break;
+      }
     }
 }
 
@@ -714,23 +620,46 @@ SmCore::issue(Warp &w, Cycle now)
         // already globally visible at issue (documented approximation).
         w.stack().advance();
         break;
-      case Opcode::Ld:
-        if (inst.space == MemSpace::Param) {
-            executeAlu(w, inst, exec, now);
-        } else {
-            executeMemory(w, inst, exec, sync_pc, now);
+      default: {
+        const exec::ThreadCtx ctx{w.warpInCta(), w.cta(), blockThreads_,
+                                  gridCtas_, id_};
+        // DDOS profiles the first active thread of the warp at every
+        // setp, before the setp itself executes.
+        if (inst.op == Opcode::Setp && active != 0) {
+            const unsigned lane = firstLane(active);
+            ddos_->onSetp(w.id(), pc, readOperand(w, inst.src[0], ctx, lane),
+                          readOperand(w, inst.src[1], ctx, lane), now);
+        }
+        // Only shared-space accesses touch the CTA's shared memory, so
+        // the slot lookup (a division) is skipped for everything else.
+        const bool shared_op = inst.space == MemSpace::Shared;
+        Cta &cta = ctas_[shared_op ? w.id() / warpsPerCta_ : 0];
+        std::array<Addr, kWarpSize> addrs;
+        executeDataPath(launch_, w, inst, exec, cta.shared, ctx, now, sync_,
+                        addrs);
+        if (inst.isMemory() && inst.space != MemSpace::Param) {
+            // LD/ST-unit timing; a fully predicated-off access issues no
+            // transaction and reserves no hazard.
+            if (exec != 0) {
+                ldst_.submit(&w, inst, addrs, exec, sync_pc, now);
+                if (inst.dst.valid())
+                    w.scoreboard().reserve(inst);
+            }
+        } else if (inst.dst.valid()) {
+            // ALU-class writeback (ld.param included).
+            w.scoreboard().reserve(inst);
+            unsigned latency =
+                inst.longLatency() ? cfg_.mulDivLatency : cfg_.aluLatency;
+            // A zero-latency writeback still lands next cycle.
+            if (latency == 0)
+                latency = 1;
+            wbRing_[(now + latency) % wbRingSize_].push_back(
+                WbEvent{&w, &inst});
+            ++wbPending_;
         }
         w.stack().advance();
         break;
-      case Opcode::St:
-      case Opcode::Atom:
-        executeMemory(w, inst, exec, sync_pc, now);
-        w.stack().advance();
-        break;
-      default:
-        executeAlu(w, inst, exec, now);
-        w.stack().advance();
-        break;
+      }
     }
 
     backoff_.onInstruction(sib_executed);

@@ -1,6 +1,7 @@
 #ifndef BOWSIM_SIM_SM_CORE_HPP
 #define BOWSIM_SIM_SM_CORE_HPP
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "src/common/config.hpp"
 #include "src/core/bows/backoff.hpp"
 #include "src/core/ddos/ddos_unit.hpp"
+#include "src/isa/exec.hpp"
 #include "src/isa/program.hpp"
 #include "src/mem/lock_tracker.hpp"
 #include "src/mem/memory_space.hpp"
@@ -108,6 +110,29 @@ struct LaunchState {
  */
 unsigned maxResidentCtasFor(const GpuConfig &cfg, const Program &prog,
                             unsigned threads_per_cta);
+
+/**
+ * The data path of one non-control instruction (ld, st, atom, setp,
+ * selp, clock and the ALU opcodes) on the lanes in @p exec, shared by
+ * SmCore and the functional executor so both modes compute every lane
+ * result through one definition. Updates the launch.stats counters
+ * that depend on lane results (CAS outcomes at lock acquires, wait-exit
+ * outcomes at wait checks) and stores each memory lane's byte address
+ * in @p addrs for the caller's timing model. Control flow, DDOS/BOWS
+ * hooks, scoreboard, pipeline timing and issue accounting stay with
+ * the caller.
+ *
+ * @param shared the issuing warp's CTA shared memory
+ * @param clock  the value `clock` reads: the cycle in cycle mode, the
+ *               instruction pseudo-clock in functional mode; also the
+ *               time stamp of sync-profiler events
+ * @param sync   sync-profiler handle (null when not profiling)
+ */
+void executeDataPath(LaunchState &launch, Warp &w, const Instruction &inst,
+                     LaneMask exec, std::vector<std::uint8_t> &shared,
+                     const exec::ThreadCtx &ctx, Cycle clock,
+                     syncprof::SyncProf sync,
+                     std::array<Addr, kWarpSize> &addrs);
 
 class SmCore : private IssueGate {
   public:
@@ -216,22 +241,6 @@ class SmCore : private IssueGate {
         return pc < codeSize_ ? code_[pc] : launch_.prog->at(pc);
     }
 
-    // Functional execution helpers.
-    Word readOperand(Warp &w, const Operand &op, unsigned lane) const;
-    void executeAlu(Warp &w, const Instruction &inst, LaneMask exec,
-                    Cycle now);
-    void executeMemory(Warp &w, const Instruction &inst, LaneMask exec,
-                       bool sync, Cycle now);
-    void executeAtomicLane(Warp &w, const Instruction &inst, unsigned lane,
-                           Addr addr, bool is_acquire);
-    /** Functional global-memory ops, run at issue. */
-    void execGlobalLoad(Warp &w, const Instruction &inst, LaneMask exec,
-                        const std::array<Addr, kWarpSize> &addrs);
-    void execGlobalStore(Warp &w, const Instruction &inst, LaneMask exec,
-                         const std::array<Addr, kWarpSize> &addrs);
-    void execGlobalAtomic(Warp &w, const Instruction &inst, LaneMask exec,
-                          const std::array<Addr, kWarpSize> &addrs,
-                          bool acquire);
     void onWarpFinished(Warp &w);
 
     unsigned id_;
@@ -249,8 +258,6 @@ class SmCore : private IssueGate {
     std::vector<Warp *> resident_;
     /** resident_ filtered by scheduler unit, maintained incrementally. */
     std::vector<std::vector<Warp *>> unitResident_;
-    /** Per-warp SM slot for the DDOS history registers. */
-    std::vector<int> warpSlotOf_;
 
     /**
      * Active-warp bitmasks mirroring unitResident_ (bit k = position k

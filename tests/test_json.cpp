@@ -72,6 +72,17 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("[1,]"), FatalError);
     EXPECT_THROW(Json::parse("\"unterminated"), FatalError);
     EXPECT_THROW(Json::parse("{\"a\":1} trailing"), FatalError);
+    // A number token must parse whole, not as its longest prefix.
+    for (const char *num : {"-", "--5", "1.2.3", "1e", "1e+", "5-", "1e999"})
+        EXPECT_THROW(Json::parse(num), FatalError) << num;
+    EXPECT_EQ(Json::parse("-5").asInt(), -5);
+    EXPECT_EQ(Json::parse("1e3").asInt(), 1000);
+    EXPECT_DOUBLE_EQ(Json::parse("-2.5e-1").asDouble(), -0.25);
+    // asInt accepts only doubles that are integers in the int64 range.
+    EXPECT_THROW(Json::parse("1e300").asInt(), FatalError);
+    EXPECT_THROW(Json::parse("9223372036854775808").asInt(), FatalError);
+    EXPECT_THROW(Json::parse("1.5").asInt(), FatalError);
+    EXPECT_EQ(Json::parse("-9223372036854775808").asInt(), INT64_MIN);
 }
 
 TEST(Json, MissingKeyThrows)

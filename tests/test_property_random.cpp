@@ -381,27 +381,32 @@ TEST_P(RandomPrograms, SimMatchesScalarReference)
     for (auto &w : input)
         w = static_cast<Word>(data_rng() % 100000) - 50000;
 
-    GpuConfig cfg = makeGtx480Config();
-    cfg.numCores = 2;
-    Gpu gpu(cfg);
-    Addr in = gpu.malloc(kInputWords * 8);
-    Addr out = gpu.malloc((threads + 32) * 8);
-    gpu.memcpyToDevice(in, input.data(), kInputWords * 8);
-    std::vector<Word> params = {static_cast<Word>(in),
-                                static_cast<Word>(out),
-                                static_cast<Word>(threads)};
-    gpu.launch(prog, Dim3{ctas, 1, 1}, Dim3{block, 1, 1}, params);
-    std::vector<Word> got(threads);
-    gpu.memcpyFromDevice(got.data(), out, threads * 8);
+    // Both execution modes share one data path, so each is held to the
+    // independent scalar reference, not just to the other.
+    for (ExecMode mode : {ExecMode::Cycle, ExecMode::Functional}) {
+        GpuConfig cfg = makeGtx480Config();
+        cfg.numCores = 2;
+        cfg.execMode = mode;
+        Gpu gpu(cfg);
+        Addr in = gpu.malloc(kInputWords * 8);
+        Addr out = gpu.malloc((threads + 32) * 8);
+        gpu.memcpyToDevice(in, input.data(), kInputWords * 8);
+        std::vector<Word> params = {static_cast<Word>(in),
+                                    static_cast<Word>(out),
+                                    static_cast<Word>(threads)};
+        gpu.launch(prog, Dim3{ctas, 1, 1}, Dim3{block, 1, 1}, params);
+        std::vector<Word> got(threads);
+        gpu.memcpyFromDevice(got.data(), out, threads * 8);
 
-    ScalarRef ref(prog, input, threads, block);
-    ref.setMemory(in, params);
-    for (unsigned tid = 0; tid < threads; ++tid) {
-        ASSERT_EQ(got[tid], ref.run(tid))
-            << "seed " << seed << " thread " << tid
-            << " (replay with BOWSIM_TEST_SEED=" << seed
-            << ")\nprogram:\n"
-            << source;
+        ScalarRef ref(prog, input, threads, block);
+        ref.setMemory(in, params);
+        for (unsigned tid = 0; tid < threads; ++tid) {
+            ASSERT_EQ(got[tid], ref.run(tid))
+                << toString(mode) << " mode, seed " << seed << " thread "
+                << tid << " (replay with BOWSIM_TEST_SEED=" << seed
+                << ")\nprogram:\n"
+                << source;
+        }
     }
 }
 

@@ -663,6 +663,28 @@ TEST(ResultCache, CorruptAndSkewedRecordsReadAsMisses)
     bad.set("stats", Json::object());
     writeFile(cache.recordPath(fp4), bad.dump());
     EXPECT_FALSE(cache.lookup(fp4, &out));
+
+    // A negative counter is corrupt, not 2^64 - 1 cycles.
+    const std::string fp5(64, '3');
+    Json negative = Json::object();
+    negative.set("cache_version", harness::kResultSchemaVersion);
+    negative.set("fingerprint", fp5);
+    negative.set("id", "point-0");
+    Json stats = harness::statsToJson(s);
+    stats.set("cycles", -1);
+    negative.set("stats", stats);
+    writeFile(cache.recordPath(fp5), negative.dump());
+    EXPECT_FALSE(cache.lookup(fp5, &out));
+
+    // So is a malformed number token.
+    const std::string fp6(64, '4');
+    std::string text = echo.dump();
+    text.replace(text.find(std::string(64, '1')), 64, fp6);
+    const std::size_t cycles = text.find("\"cycles\":");
+    ASSERT_NE(cycles, std::string::npos);
+    text.insert(cycles + 9, "--");
+    writeFile(cache.recordPath(fp6), text);
+    EXPECT_FALSE(cache.lookup(fp6, &out));
 }
 
 TEST(ResultCache, ModeParsingAndNames)
