@@ -11,12 +11,13 @@
 /**
  * Golden-stats regression tests (labeled `slow`): cycle counts and
  * synchronization outcomes for HT and ATM pinned at an exact
- * configuration. The simulator is deterministic, so any drift here is a
- * real behavior change — timing model, scheduler, DDOS, or BOWS. When a
- * change is intentional, re-measure and update the constants in the same
- * commit, and say why in the commit message.
+ * configuration, under GTO and (ATM with BOWS) CAWA. The simulator is
+ * deterministic, so any drift here is a real behavior change — timing
+ * model, scheduler, DDOS, or BOWS. When a change is intentional,
+ * re-measure and update the constants in the same commit, and say why
+ * in the commit message.
  *
- * Config: GTX480 model, 4 SMs, GTO, registry kernels at scale 0.25.
+ * Config: GTX480 model, 4 SMs, registry kernels at scale 0.25.
  */
 
 namespace bowsim {
@@ -24,6 +25,7 @@ namespace {
 
 struct Golden {
     const char *kernel;
+    SchedulerKind scheduler;
     bool bows;
     Cycle cycles;
     std::uint64_t warpInstructions;
@@ -33,10 +35,15 @@ struct Golden {
 };
 
 const Golden kGolden[] = {
-    {"HT", false, 42912, 27588, 3072, 38725, 352},
-    {"HT", true, 52209, 20764, 3072, 33703, 352},
-    {"ATM", false, 314299, 169255, 21460, 284005, 1846},
-    {"ATM", true, 171181, 84529, 15012, 145520, 916},
+    {"HT", SchedulerKind::GTO, false, 42912, 27588, 3072, 38725, 352},
+    {"HT", SchedulerKind::GTO, true, 52209, 20764, 3072, 33703, 352},
+    {"ATM", SchedulerKind::GTO, false, 314299, 169255, 21460, 284005,
+     1846},
+    {"ATM", SchedulerKind::GTO, true, 171181, 84529, 15012, 145520, 916},
+    // CAWA ranks by criticality with a greedy component: pins the
+    // policy's arbitration under BOWS deprioritization.
+    {"ATM", SchedulerKind::CAWA, true, 164089, 80992, 14643, 134424,
+     1133},
 };
 
 /** Without this, gtest prints the raw bytes of the struct, address of
@@ -45,6 +52,8 @@ const Golden kGolden[] = {
 void PrintTo(const Golden &g, std::ostream *os)
 {
     *os << g.kernel << (g.bows ? " bows" : " base");
+    if (g.scheduler != SchedulerKind::GTO)
+        *os << ' ' << toString(g.scheduler);
 }
 
 class GoldenStats : public ::testing::TestWithParam<Golden> {};
@@ -58,7 +67,7 @@ TEST_P(GoldenStats, PinnedCyclesAndOutcomes)
     for (bool idle_skip : {true, false}) {
         GpuConfig cfg = makeGtx480Config();
         cfg.numCores = 4;
-        cfg.scheduler = SchedulerKind::GTO;
+        cfg.scheduler = g.scheduler;
         cfg.bows.enabled = g.bows;
         cfg.idleSkip = idle_skip;
         Gpu gpu(cfg);
@@ -78,8 +87,15 @@ TEST_P(GoldenStats, PinnedCyclesAndOutcomes)
 
 INSTANTIATE_TEST_SUITE_P(HtAtm, GoldenStats, ::testing::ValuesIn(kGolden),
                          [](const auto &info) {
-                             return std::string(info.param.kernel) +
-                                    (info.param.bows ? "_bows" : "_base");
+                             const Golden &g = info.param;
+                             std::string name =
+                                 std::string(g.kernel) +
+                                 (g.bows ? "_bows" : "_base");
+                             // GTO rows keep their original names.
+                             if (g.scheduler != SchedulerKind::GTO)
+                                 name += std::string("_") +
+                                         toString(g.scheduler);
+                             return name;
                          });
 
 TEST(GoldenStats, BowsReducesAtmSpinOverhead)
@@ -130,6 +146,12 @@ const LitmusGolden kLitmusGolden[] = {
      SchedulerKind::LRR, false, harness::OccupancyLevel::Exact,
      harness::SyncOutcome::Completed, 206'073, 28263, 0, 0, 256, 7485,
      7241},
+    // TwoLevel's group-then-slot arbitration on the software back-off
+    // lock at exact occupancy.
+    {"backoff_twolevel_base_exact", sync::Primitive::BackoffLock,
+     SchedulerKind::TwoLevel, false, harness::OccupancyLevel::Exact,
+     harness::SyncOutcome::Completed, 2'066'526, 356864, 256, 3524, 0, 0,
+     78797},
 };
 
 class LitmusGoldenStats
