@@ -307,6 +307,14 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
             std::exit(2);
         }
     }
+    // The sync profiler observes the cycle pipeline only; a functional
+    // run would write all-zero reports.
+    if (!o.syncReportPath.empty() && o.hasExecMode &&
+        o.execMode == ExecMode::Functional) {
+        std::fprintf(stderr,
+                     "error: --sync-report needs --exec-mode=cycle\n");
+        std::exit(2);
+    }
     return o;
 }
 

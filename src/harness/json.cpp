@@ -384,25 +384,44 @@ class Parser {
     Json
     parseNumber()
     {
-        std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
+        // RFC 8259 shape first: -? (0 | [1-9][0-9]*) (. [0-9]+)?
+        // ([eE] [+-]? [0-9]+)?. from_chars follows strtod and would
+        // also take "01", ".5", "1." and "1.e3".
+        const std::size_t start = pos_;
+        auto digits = [this] {
+            const std::size_t from = pos_;
+            while (pos_ < text_.size() &&
+                   std::isdigit(static_cast<unsigned char>(text_[pos_])))
+                ++pos_;
+            return pos_ - from;
+        };
+        auto at = [this](char a, char b) {
+            return pos_ < text_.size() &&
+                   (text_[pos_] == a || text_[pos_] == b);
+        };
+        if (at('-', '-'))
             ++pos_;
+        const std::size_t int_start = pos_;
+        const std::size_t int_digits = digits();
+        bool ok = int_digits == 1 ||
+                  (int_digits > 1 && text_[int_start] != '0');
         bool integral = true;
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        if (ok && at('.', '.')) {
+            ++pos_;
+            integral = false;
+            ok = digits() > 0;
         }
-        // The whole token must parse: "-", "--5", "1.2.3" and "1e" are
-        // malformed, not a prefix's value. An integer too large for
-        // int64 is kept as a double; a double out of range is malformed.
+        if (ok && at('e', 'E')) {
+            ++pos_;
+            integral = false;
+            if (at('+', '-'))
+                ++pos_;
+            ok = digits() > 0;
+        }
+        if (!ok)
+            fatal("json: bad number at offset ", start);
+        // An integer too large for int64 is kept as a double; a double
+        // out of range is malformed.
         const char *first = text_.data() + start;
         const char *last = text_.data() + pos_;
         if (integral) {

@@ -1,21 +1,30 @@
 #include "src/sched/cawa.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace bowsim {
+
+namespace {
+
+/**
+ * CAWA priority rank, smaller first: higher criticality, then older.
+ * Ages are unique, so ranks are too.
+ */
+std::pair<double, std::uint64_t>
+rank(const Warp *w)
+{
+    return {-w->cawa().criticality(), w->age()};
+}
+
+}  // namespace
 
 void
 CawaScheduler::order(std::vector<Warp *> &warps, Cycle now)
 {
     (void)now;
-    std::stable_sort(warps.begin(), warps.end(),
-                     [](const Warp *a, const Warp *b) {
-                         double ca = a->cawa().criticality();
-                         double cb = b->cawa().criticality();
-                         if (ca != cb)
-                             return ca > cb;
-                         return a->age() < b->age();
-                     });
+    std::sort(warps.begin(), warps.end(),
+              [](const Warp *a, const Warp *b) { return rank(a) < rank(b); });
     // CAWA keeps GTO's greedy component: stick with the last-issued warp
     // while it remains schedulable.
     if (lastIssued_) {
@@ -26,6 +35,17 @@ CawaScheduler::order(std::vector<Warp *> &warps, Cycle now)
             warps.insert(warps.begin(), w);
         }
     }
+}
+
+Warp *
+CawaScheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
+                    Cycle now, bool deprioritize, const IssueGate &gate)
+{
+    (void)now;
+    const std::uint64_t cand = candidates(mask, deprioritize);
+    if (Warp *li = greedyPick(deprioritize, gate))
+        return li;
+    return pickMinRank(warps, cand, gate, rank);
 }
 
 }  // namespace bowsim

@@ -5,6 +5,14 @@
 
 namespace bowsim {
 
+std::size_t
+GtoScheduler::rotation(Cycle now, std::size_t n) const
+{
+    if (rotatePeriod_ == 0 || n == 0)
+        return 0;
+    return static_cast<std::size_t>(now / rotatePeriod_) % n;
+}
+
 void
 GtoScheduler::order(std::vector<Warp *> &warps, Cycle now)
 {
@@ -21,10 +29,8 @@ GtoScheduler::order(std::vector<Warp *> &warps, Cycle now)
         std::sort(warps.begin(), warps.end(), by_age);
     // Periodic age rotation (livelock avoidance): shift which resident
     // warp currently counts as oldest.
-    if (rotatePeriod_ > 0 && !warps.empty()) {
-        size_t rot = static_cast<size_t>(now / rotatePeriod_) % warps.size();
-        std::rotate(warps.begin(), warps.begin() + rot, warps.end());
-    }
+    std::rotate(warps.begin(), warps.begin() + rotation(now, warps.size()),
+                warps.end());
     // Greedy: the last-issued warp keeps top priority.
     if (lastIssued_) {
         auto it = std::find(warps.begin(), warps.end(), lastIssued_);
@@ -40,74 +46,25 @@ Warp *
 GtoScheduler::pick(const std::vector<Warp *> &warps, const UnitMask &mask,
                    Cycle now, bool deprioritize, const IssueGate &gate)
 {
-    const std::size_t n = warps.size();
-    if (n == 0)
-        return nullptr;
-    // The ordered list order() would build is: lastIssued_ first, then
-    // the remaining warps in age order rotated by the livelock-avoidance
-    // offset; with deprioritization the backed-off warps drop behind all
-    // of that, FIFO by their (unique, per-core) backoffSeq ticket. The
-    // first eligible warp of that list can be found by scanning the
-    // age-ordered residents directly, without copying or sorting.
-    std::size_t rot = 0;
-    if (rotatePeriod_ > 0)
-        rot = static_cast<std::size_t>(now / rotatePeriod_) % n;
-
-    Warp *li = lastIssued_;
-    if (li && !(deprioritize && li->bows().backedOff) && gate.eligible(*li))
+    // order() puts lastIssued_ first, then the remaining warps in age
+    // order rotated by the livelock-avoidance offset. The residents are
+    // already age-ordered, so the first eligible candidate of that list
+    // is found by a circular scan over the set bits: positions >= rot
+    // in ascending order, then the wrapped positions below rot.
+    const std::uint64_t cand = candidates(mask, deprioritize);
+    if (Warp *li = greedyPick(deprioritize, gate))
         return li;
-    if (mask.valid) {
-        // Same circular scan over the set bits only: positions >= rot
-        // in ascending order, then the wrapped positions below rot.
-        std::uint64_t cand = mask.issuable;
-        if (deprioritize)
-            cand &= ~mask.backedOff;
-        const std::uint64_t low =
-            rot > 0 ? cand & ((std::uint64_t{1} << rot) - 1) : 0;
-        for (std::uint64_t bits : {cand ^ low, low}) {
-            for (; bits != 0; bits &= bits - 1) {
-                Warp *w =
-                    warps[static_cast<unsigned>(std::countr_zero(bits))];
-                if (w == li)
-                    continue;
-                if (gate.eligible(*w))
-                    return w;
-            }
-        }
-    } else {
-        for (std::size_t k = 0; k < n; ++k) {
-            Warp *w = warps[rot + k < n ? rot + k : rot + k - n];
-            if (w == li || (deprioritize && w->bows().backedOff))
-                continue;
+    const std::size_t rot = rotation(now, warps.size());
+    const std::uint64_t low =
+        rot > 0 ? cand & ((std::uint64_t{1} << rot) - 1) : 0;
+    for (std::uint64_t bits : {cand ^ low, low}) {
+        for (; bits != 0; bits &= bits - 1) {
+            Warp *w = warps[static_cast<unsigned>(std::countr_zero(bits))];
             if (gate.eligible(*w))
                 return w;
         }
     }
-    if (!deprioritize)
-        return nullptr;
-    // Backed-off queue: first eligible in FIFO order = the eligible warp
-    // with the smallest backoffSeq.
-    Warp *best = nullptr;
-    if (mask.valid) {
-        for (std::uint64_t boff = mask.backedOff & mask.issuable;
-             boff != 0; boff &= boff - 1) {
-            Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
-            if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-                continue;
-            if (gate.eligible(*w))
-                best = w;
-        }
-        return best;
-    }
-    for (Warp *w : warps) {
-        if (!w->bows().backedOff)
-            continue;
-        if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
-            continue;
-        if (gate.eligible(*w))
-            best = w;
-    }
-    return best;
+    return nullptr;
 }
 
 }  // namespace bowsim

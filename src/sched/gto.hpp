@@ -22,13 +22,15 @@ class GtoScheduler : public Scheduler {
     }
 
     void order(std::vector<Warp *> &warps, Cycle now) override;
-    bool supportsPick() const override { return true; }
     Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
                Cycle now, bool deprioritize,
                const IssueGate &gate) override;
     const char *name() const override { return "GTO"; }
 
   private:
+    /** Livelock-avoidance offset into the @p n age-ordered warps. */
+    std::size_t rotation(Cycle now, std::size_t n) const;
+
     Cycle rotatePeriod_;
 };
 

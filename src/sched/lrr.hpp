@@ -14,11 +14,14 @@ namespace bowsim {
 class LrrScheduler : public Scheduler {
   public:
     void order(std::vector<Warp *> &warps, Cycle now) override;
-    bool supportsPick() const override { return true; }
     Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
                Cycle now, bool deprioritize,
                const IssueGate &gate) override;
     const char *name() const override { return "LRR"; }
+
+  private:
+    /** The warp id the rotation starts at (see lrr.cpp). */
+    unsigned rotationStart(const std::vector<Warp *> &warps) const;
 };
 
 }  // namespace bowsim

@@ -1,6 +1,7 @@
 #include "src/sched/scheduler.hpp"
 
-#include "src/common/log.hpp"
+#include <bit>
+
 #include "src/sched/cawa.hpp"
 #include "src/sched/gto.hpp"
 #include "src/sched/lrr.hpp"
@@ -22,6 +23,24 @@ makeScheduler(const GpuConfig &cfg)
         return std::make_unique<TwoLevelScheduler>(cfg.twoLevelGroupSize);
     }
     fatal("unknown scheduler kind");
+}
+
+Warp *
+pickBackedOff(const std::vector<Warp *> &warps, const UnitMask &mask,
+              const IssueGate &gate)
+{
+    // Barrier-parked warps are never backed off (issuing the bar
+    // cleared the state), so masking with issuable loses nothing.
+    Warp *best = nullptr;
+    for (std::uint64_t boff = mask.backedOff & mask.issuable; boff != 0;
+         boff &= boff - 1) {
+        Warp *w = warps[static_cast<unsigned>(std::countr_zero(boff))];
+        if (best && w->bows().backoffSeq >= best->bows().backoffSeq)
+            continue;
+        if (gate.eligible(*w))
+            best = w;
+    }
+    return best;
 }
 
 }  // namespace bowsim

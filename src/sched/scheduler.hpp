@@ -1,19 +1,24 @@
 #ifndef BOWSIM_SCHED_SCHEDULER_HPP
 #define BOWSIM_SCHED_SCHEDULER_HPP
 
+#include <bit>
 #include <memory>
 #include <vector>
 
 #include "src/arch/warp.hpp"
 #include "src/common/config.hpp"
+#include "src/common/log.hpp"
 
 /**
  * @file
- * Warp-scheduler policies. Each SM scheduler unit owns one Scheduler
- * instance; every cycle the core asks it to order the unit's resident
- * warps by descending priority and issues the first *eligible* one (the
- * eligibility test — scoreboard, barrier, BOWS back-off — stays in the
- * core so policies remain pure priority functions).
+ * Warp-scheduler policies and the per-unit arbitration rule of Fig. 8.
+ * Each SM scheduler unit owns one Scheduler instance. Every cycle the
+ * core asks it, through pick(), for its highest-priority eligible warp
+ * among the unit's non-backed-off warps; when that finds none, the core
+ * serves the backed-off queue in FIFO order (pickBackedOff()). The
+ * eligibility test — scoreboard, barrier, back-off delay — stays
+ * core-side behind IssueGate, so policies remain pure priority
+ * functions. A unit holds at most 64 warps, one bit each in UnitMask.
  */
 
 namespace bowsim {
@@ -21,8 +26,9 @@ namespace bowsim {
 /**
  * Eligibility oracle the core hands to pick(): wraps the per-warp checks
  * that stay core-side (scoreboard, barrier, back-off delay, memory-port
- * availability). eligible() must be side-effect free — fast-path
- * arbitration may probe warps in a different order than a linear scan.
+ * availability). eligible() must be side-effect free — arbitration
+ * probes warps in priority-search order, not list order — and false for
+ * finished and barrier-parked warps.
  */
 class IssueGate {
   public:
@@ -34,11 +40,10 @@ class IssueGate {
 
 /**
  * Per-unit active-warp bitmasks maintained incrementally by the core:
- * bit k describes warps[k] of the unit's resident vector. Policies use
- * them to iterate set bits instead of scanning (and dereferencing)
- * every warp slot. When valid is false (unit wider than 64 warp slots,
- * or mask maintenance disabled) the masks carry no information and
- * policies must fall back to scanning the vector.
+ * bit k describes warps[k] of the unit's resident vector. Policies
+ * iterate set bits instead of scanning (and dereferencing) every warp
+ * slot. The core always fills them (valid is true); pick() treats an
+ * invalid mask as a simulator bug.
  */
 struct UnitMask {
     /** Warp is not parked at a barrier (finished warps leave the
@@ -49,44 +54,33 @@ struct UnitMask {
     bool valid = false;
 };
 
+/** Most warps one scheduler unit may hold: one UnitMask bit each. */
+inline constexpr unsigned kMaxWarpsPerUnit = 64;
+
 class Scheduler {
   public:
     virtual ~Scheduler() = default;
 
-    /** Sorts @p warps into descending scheduling priority. */
+    /**
+     * Sorts @p warps into descending scheduling priority. pick() selects
+     * by the same per-policy key; order() is its readable reference.
+     */
     virtual void order(std::vector<Warp *> &warps, Cycle now) = 0;
 
     /**
-     * Optional O(n) arbitration fast path. Returns exactly the warp that
-     * order() + the core's back-off deprioritization (non-backed-off
-     * warps first, backed-off ones FIFO by backoffSeq when
-     * @p deprioritize) + a first-eligible scan would select, or nullptr
-     * when no warp is eligible — without materializing the ordered list.
-     * @p warps must be the unit's residents in launch-age order (the
-     * order the core maintains). Policies whose priority cannot be
-     * evaluated positionally keep the generic path.
+     * Arbitration: the first warp of order(@p warps) that is a
+     * candidate and passes @p gate, or nullptr — found without
+     * materializing the ordered list. Candidates are the mask.issuable
+     * warps, minus the mask.backedOff ones when @p deprioritize (the
+     * core then serves those through pickBackedOff()). @p warps must be
+     * the unit's residents in launch-age order (the order the core
+     * maintains).
      */
-    virtual bool supportsPick() const { return false; }
-    virtual Warp *
-    pick(const std::vector<Warp *> &warps, const UnitMask &mask, Cycle now,
-         bool deprioritize, const IssueGate &gate)
-    {
-        (void)warps;
-        (void)mask;
-        (void)now;
-        (void)deprioritize;
-        (void)gate;
-        return nullptr;
-    }
-
-    /**
-     * True when order() evaluates warps element-wise (its result for a
-     * subset is the subset of its result), so the core may pre-filter
-     * the input by the UnitMask before ordering. Policies whose
-     * priority depends on the whole resident set (e.g. TwoLevel's
-     * group count) must leave this false.
-     */
-    virtual bool supportsFilteredOrder() const { return false; }
+    virtual Warp *pick(const std::vector<Warp *> &warps,
+                       const UnitMask &mask, Cycle now, bool deprioritize,
+                       const IssueGate &gate) = 0;
+    /** Every policy implements pick(). */
+    bool supportsPick() const { return true; }
 
     /** Called when @p warp wins arbitration this cycle. */
     virtual void
@@ -107,8 +101,67 @@ class Scheduler {
     virtual const char *name() const = 0;
 
   protected:
+    /** pick()'s candidate bits (see pick()). */
+    static std::uint64_t
+    candidates(const UnitMask &mask, bool deprioritize)
+    {
+        if (!mask.valid)
+            panic("scheduler pick() without a valid unit mask");
+        return deprioritize ? mask.issuable & ~mask.backedOff
+                            : mask.issuable;
+    }
+
+    /**
+     * The greedy rule of GTO and CAWA: the last-issued warp, when it is
+     * a candidate and eligible, else nullptr. A finished or
+     * barrier-parked last-issued warp fails the gate.
+     */
+    Warp *
+    greedyPick(bool deprioritize, const IssueGate &gate) const
+    {
+        Warp *li = lastIssued_;
+        if (li && !(deprioritize && li->bows().backedOff) &&
+            gate.eligible(*li))
+            return li;
+        return nullptr;
+    }
+
+    /**
+     * The eligible candidate (set bit of @p cand) with the smallest
+     * rank(w), or nullptr; ties go to the lower position, as in a
+     * stable sort of the residents by rank. The gate is only consulted
+     * for warps that would improve on the current best.
+     */
+    template <typename RankFn>
+    static Warp *
+    pickMinRank(const std::vector<Warp *> &warps, std::uint64_t cand,
+                const IssueGate &gate, RankFn rank)
+    {
+        Warp *best = nullptr;
+        decltype(rank(warps[0])) best_rank{};
+        for (; cand != 0; cand &= cand - 1) {
+            Warp *w = warps[static_cast<unsigned>(std::countr_zero(cand))];
+            const auto r = rank(w);
+            if (best && !(r < best_rank))
+                continue;
+            if (gate.eligible(*w)) {
+                best = w;
+                best_rank = r;
+            }
+        }
+        return best;
+    }
+
     Warp *lastIssued_ = nullptr;
 };
+
+/**
+ * The backed-off queue of Fig. 8, served when pick() finds no eligible
+ * non-backed-off warp under deprioritization: FIFO by backoffSeq ticket,
+ * so the eligible backed-off warp with the smallest ticket, or nullptr.
+ */
+Warp *pickBackedOff(const std::vector<Warp *> &warps, const UnitMask &mask,
+                    const IssueGate &gate);
 
 /** Creates the configured base policy. */
 std::unique_ptr<Scheduler> makeScheduler(const GpuConfig &cfg);

@@ -23,6 +23,9 @@ class TwoLevelScheduler : public Scheduler {
     }
 
     void order(std::vector<Warp *> &warps, Cycle now) override;
+    Warp *pick(const std::vector<Warp *> &warps, const UnitMask &mask,
+               Cycle now, bool deprioritize,
+               const IssueGate &gate) override;
 
     void
     notifyIssued(Warp *warp, Cycle now) override
@@ -36,6 +39,12 @@ class TwoLevelScheduler : public Scheduler {
     unsigned groupSize() const { return groupSize_; }
 
   private:
+    /** One past the highest group id among @p warps. */
+    unsigned numGroups(const std::vector<Warp *> &warps) const;
+    /** Priority rank, smaller first: (group distance from the active
+     *  group, slot rotated past the last-issued warp's). */
+    unsigned rank(const Warp *w, unsigned num_groups) const;
+
     unsigned groupSize_;
     unsigned activeGroup_ = 0;
 };

@@ -263,14 +263,12 @@ class SmCore : private IssueGate {
      * Active-warp bitmasks mirroring unitResident_ (bit k = position k
      * of unit u's vector): not-at-barrier and BOWS backed-off. Kept in
      * sync at warp launch/finish, barrier entry/exit, and back-off
-     * transitions; only maintained when every unit fits in 64 slots
-     * (masksEnabled_), else schedulers fall back to vector scans.
+     * transitions. A unit holds at most kMaxWarpsPerUnit warps.
      */
     std::vector<std::uint64_t> unitIssuable_;
     std::vector<std::uint64_t> unitBackedOff_;
     /** Warp slot -> position inside its unit's resident vector. */
     std::vector<std::uint32_t> unitPosOf_;
-    bool masksEnabled_ = false;
 
     /**
      * Calendar queue for ALU writebacks: ring of per-cycle buckets
@@ -283,8 +281,6 @@ class SmCore : private IssueGate {
     unsigned wbRingSize_ = 0;
     std::uint64_t wbPending_ = 0;
     std::vector<MemCompletion> memCompletions_;
-    /** Scratch buffer for per-unit arbitration (reused every cycle). */
-    std::vector<Warp *> unitWarps_;
 
     unsigned maxWarps_;
     unsigned warpsPerCta_ = 0;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/kernels/atm.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/metrics/sampler.hpp"
 #include "src/sim/gpu.hpp"
@@ -22,9 +23,10 @@
  *    accounting it enables) must not change simulation results for ANY
  *    kernel, including the order-dependent ones.
  *  - Skip equivalence: the idle-cycle fast-forward (docs/PERF.md) must
- *    be invisible — every kernel, scheduler, and BOWS mode must produce
- *    identical memory, cycles, outcomes, memory-system traffic, energy
- *    and stall accounting with idleSkip on and off.
+ *    be invisible — every kernel, scheduler, and BOWS mode, plus the
+ *    idle-dominated two-account ATM shape, must produce identical
+ *    memory, cycles, outcomes, memory-system traffic, energy and stall
+ *    accounting with idleSkip on and off.
  */
 
 namespace bowsim {
@@ -142,6 +144,52 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ObserverEffect,
                          ::testing::ValuesIn(allKernelNames()),
                          [](const auto &info) { return info.param; });
 
+/**
+ * Expects a run with the idle-cycle fast-forward (@p on) and one
+ * without (@p off), both with the stall breakdown collected, to agree
+ * on everything the simulation reports.
+ */
+void
+expectSkipInvisible(const RunResult &on, const RunResult &off,
+                    const std::string &label)
+{
+    ASSERT_EQ(on.digest, off.digest)
+        << label << ": skip changed the final memory image";
+    ASSERT_EQ(on.stats.cycles, off.stats.cycles) << label;
+    EXPECT_EQ(on.stats.warpInstructions, off.stats.warpInstructions)
+        << label;
+    const SyncOutcomes &a = on.stats.outcomes;
+    const SyncOutcomes &b = off.stats.outcomes;
+    EXPECT_EQ(a.lockSuccess, b.lockSuccess) << label;
+    EXPECT_EQ(a.interWarpFail, b.interWarpFail) << label;
+    EXPECT_EQ(a.intraWarpFail, b.intraWarpFail) << label;
+    EXPECT_EQ(a.waitExitSuccess, b.waitExitSuccess) << label;
+    EXPECT_EQ(a.waitExitFail, b.waitExitFail) << label;
+    EXPECT_EQ(on.stats.residentWarpCycles, off.stats.residentWarpCycles)
+        << label;
+    EXPECT_EQ(on.stats.backedOffWarpCycles, off.stats.backedOffWarpCycles)
+        << label;
+    EXPECT_EQ(on.stats.delayLimitCycleSum, off.stats.delayLimitCycleSum)
+        << label;
+    EXPECT_EQ(on.stats.smCycles, off.stats.smCycles) << label;
+    EXPECT_EQ(on.stats.l1Accesses, off.stats.l1Accesses) << label;
+    EXPECT_EQ(on.stats.mem.l2Accesses, off.stats.mem.l2Accesses) << label;
+    EXPECT_EQ(on.stats.mem.dramAccesses, off.stats.mem.dramAccesses)
+        << label;
+    EXPECT_EQ(on.stats.mem.icntPackets, off.stats.mem.icntPackets)
+        << label;
+    EXPECT_EQ(on.stats.energyNj, off.stats.energyNj) << label;
+    ASSERT_TRUE(on.stats.hasStallBreakdown());
+    ASSERT_TRUE(off.stats.hasStallBreakdown());
+    const auto on_stalls = on.stats.stallTotals();
+    const auto off_stalls = off.stats.stallTotals();
+    for (unsigned c = 0; c < trace::kNumStallCauses; ++c) {
+        EXPECT_EQ(on_stalls[c], off_stalls[c])
+            << label << ": stall cause "
+            << trace::toString(static_cast<trace::StallCause>(c));
+    }
+}
+
 class SkipEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SkipEquivalence, FastForwardIsInvisible)
@@ -164,48 +212,7 @@ TEST_P(SkipEquivalence, FastForwardIsInvisible)
             const std::string label =
                 name + " under " + std::string(toString(sched)) +
                 (bows ? "+BOWS" : "");
-            ASSERT_EQ(on.digest, off.digest)
-                << label << ": skip changed the final memory image";
-            ASSERT_EQ(on.stats.cycles, off.stats.cycles) << label;
-            EXPECT_EQ(on.stats.warpInstructions,
-                      off.stats.warpInstructions)
-                << label;
-            EXPECT_EQ(on.stats.outcomes.total(), off.stats.outcomes.total())
-                << label;
-            EXPECT_EQ(on.stats.outcomes.lockSuccess,
-                      off.stats.outcomes.lockSuccess)
-                << label;
-            EXPECT_EQ(on.stats.outcomes.interWarpFail,
-                      off.stats.outcomes.interWarpFail)
-                << label;
-            EXPECT_EQ(on.stats.residentWarpCycles,
-                      off.stats.residentWarpCycles)
-                << label;
-            EXPECT_EQ(on.stats.backedOffWarpCycles,
-                      off.stats.backedOffWarpCycles)
-                << label;
-            EXPECT_EQ(on.stats.delayLimitCycleSum,
-                      off.stats.delayLimitCycleSum)
-                << label;
-            EXPECT_EQ(on.stats.smCycles, off.stats.smCycles) << label;
-            EXPECT_EQ(on.stats.l1Accesses, off.stats.l1Accesses) << label;
-            EXPECT_EQ(on.stats.mem.l2Accesses, off.stats.mem.l2Accesses)
-                << label;
-            EXPECT_EQ(on.stats.mem.dramAccesses,
-                      off.stats.mem.dramAccesses)
-                << label;
-            EXPECT_EQ(on.stats.mem.icntPackets, off.stats.mem.icntPackets)
-                << label;
-            EXPECT_EQ(on.stats.energyNj, off.stats.energyNj) << label;
-            ASSERT_TRUE(on.stats.hasStallBreakdown());
-            ASSERT_TRUE(off.stats.hasStallBreakdown());
-            const auto on_stalls = on.stats.stallTotals();
-            const auto off_stalls = off.stats.stallTotals();
-            for (unsigned c = 0; c < trace::kNumStallCauses; ++c) {
-                EXPECT_EQ(on_stalls[c], off_stalls[c])
-                    << label << ": stall cause "
-                    << trace::toString(static_cast<trace::StallCause>(c));
-            }
+            ASSERT_NO_FATAL_FAILURE(expectSkipInvisible(on, off, label));
         }
     }
 }
@@ -274,6 +281,36 @@ TEST_P(FunctionalEquivalence, FunctionalModeMatchesCycleMode)
 INSTANTIATE_TEST_SUITE_P(Kernels, FunctionalEquivalence,
                          ::testing::ValuesIn(allKernelNames()),
                          [](const auto &info) { return info.param; });
+
+TEST(BackoffIdleSkip, AtmFastForwardIsInvisible)
+{
+    // The skip's best case: two accounts serialize every transaction,
+    // and an adaptive BOWS limit floored at 4000 cycles parks each
+    // losing warp for thousands of cycles while the lock holder drains
+    // its critical section, so most cycles of the one SM issue nothing.
+    GpuConfig cfg = makeGtx480Config();
+    cfg.numCores = 1;
+    cfg.spinDetect = SpinDetect::Ddos;
+    cfg.bows.enabled = true;
+    cfg.bows.adaptive = true;
+    cfg.bows.minLimit = 4000;
+    cfg.bows.maxLimit = 16000;
+    cfg.collectStallBreakdown = true;
+    AtmParams p;
+    p.transactions = 1024;
+    p.accounts = 2;
+    p.ctas = 2;
+    p.threadsPerCta = 256;
+    RunResult runs[2];
+    for (bool skip : {true, false}) {
+        cfg.idleSkip = skip;
+        Gpu gpu(cfg);
+        RunResult &r = runs[skip ? 0 : 1];
+        r.stats = makeAtm(p)->run(gpu);
+        r.digest = gpu.mem().digest();
+    }
+    expectSkipInvisible(runs[0], runs[1], "two-account ATM");
+}
 
 TEST(MetricsEquivalence, SampledSeriesIdenticalAcrossExecutionModes)
 {

@@ -72,9 +72,15 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("[1,]"), FatalError);
     EXPECT_THROW(Json::parse("\"unterminated"), FatalError);
     EXPECT_THROW(Json::parse("{\"a\":1} trailing"), FatalError);
-    // A number token must parse whole, not as its longest prefix.
-    for (const char *num : {"-", "--5", "1.2.3", "1e", "1e+", "5-", "1e999"})
+    // A number token must parse whole, not as its longest prefix, and
+    // follow the RFC 8259 grammar, not strtod's.
+    for (const char *num : {"-", "--5", "1.2.3", "1e", "1e+", "5-", "1e999",
+                            "01", ".5", "1.", "-.5", "1.e3", "-01", "+1"})
         EXPECT_THROW(Json::parse(num), FatalError) << num;
+    EXPECT_EQ(Json::parse("0").asInt(), 0);
+    EXPECT_EQ(Json::parse("-0").asInt(), 0);
+    EXPECT_DOUBLE_EQ(Json::parse("0.5").asDouble(), 0.5);
+    EXPECT_DOUBLE_EQ(Json::parse("1E+2").asDouble(), 100.0);
     EXPECT_EQ(Json::parse("-5").asInt(), -5);
     EXPECT_EQ(Json::parse("1e3").asInt(), 1000);
     EXPECT_DOUBLE_EQ(Json::parse("-2.5e-1").asDouble(), -0.25);

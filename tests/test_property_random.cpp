@@ -8,6 +8,7 @@
 #include "src/isa/assembler.hpp"
 #include "src/isa/verifier.hpp"
 #include "src/sim/gpu.hpp"
+#include "tests/test_seeds.hpp"
 
 /**
  * Differential property test: random structured, race-free kernels run
@@ -332,35 +333,6 @@ class ScalarRef {
     Addr inputBase_ = 0;
     std::vector<Word> params_;
 };
-
-/**
- * Seeds under test. BOWSIM_TEST_SEED (a single seed or a comma-separated
- * list) overrides the default 1..32 range, so a seed printed by a failing
- * run can be replayed in isolation:
- *
- *     BOWSIM_TEST_SEED=17 ./tests/bowsim_tests \
- *         --gtest_filter='Seeds/RandomPrograms.*'
- */
-std::vector<std::uint32_t>
-testSeeds()
-{
-    std::vector<std::uint32_t> seeds;
-    if (const char *env = std::getenv("BOWSIM_TEST_SEED")) {
-        std::stringstream ss(env);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (!tok.empty()) {
-                seeds.push_back(static_cast<std::uint32_t>(
-                    std::strtoul(tok.c_str(), nullptr, 10)));
-            }
-        }
-    }
-    if (seeds.empty()) {
-        for (std::uint32_t s = 1; s < 33; ++s)
-            seeds.push_back(s);
-    }
-    return seeds;
-}
 
 class RandomPrograms : public ::testing::TestWithParam<std::uint32_t> {};
 

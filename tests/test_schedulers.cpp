@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <vector>
 
 #include "src/sched/cawa.hpp"
@@ -11,6 +14,7 @@
 
 #include "src/isa/assembler.hpp"
 #include "src/sim/gpu.hpp"
+#include "tests/test_seeds.hpp"
 
 namespace bowsim {
 namespace {
@@ -256,6 +260,184 @@ TEST(TwoLevel, RunsAKernelCorrectly)
     Word v = 0;
     gpu.memcpyFromDevice(&v, counter, 8);
     EXPECT_EQ(v, 4 * 256);
+}
+
+// ---------------------------------------------- pick() against order()
+
+/**
+ * Pseudo-random eligibility that keeps the core's contract: finished
+ * and barrier-parked warps never pass.
+ */
+class RandomGate final : public IssueGate {
+  public:
+    bool
+    eligible(Warp &w) const override
+    {
+        return &w != finished && !w.atBarrier() && pass[w.id()];
+    }
+    std::vector<bool> pass;
+    const Warp *finished = nullptr;
+};
+
+/** The arbitration pick() replaces: order(), backed-off warps moved
+ *  behind the rest FIFO by ticket, then the first eligible warp. */
+Warp *
+referencePick(Scheduler &sched, const std::vector<Warp *> &warps,
+              Cycle now, bool deprioritize, const IssueGate &gate)
+{
+    std::vector<Warp *> list = warps;
+    sched.order(list, now);
+    if (deprioritize) {
+        auto mid = std::stable_partition(
+            list.begin(), list.end(),
+            [](const Warp *w) { return !w->bows().backedOff; });
+        std::sort(mid, list.end(), [](const Warp *a, const Warp *b) {
+            return a->bows().backoffSeq < b->bows().backoffSeq;
+        });
+    }
+    for (Warp *w : list) {
+        if (gate.eligible(*w))
+            return w;
+    }
+    return nullptr;
+}
+
+class PickMatchesOrder : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(PickMatchesOrder, AllPolicies)
+{
+    const std::uint32_t seed = GetParam();
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](unsigned n) {
+        return static_cast<unsigned>(rng() % n);
+    };
+    constexpr unsigned kMaxId = 64;
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        // One unit's residents: distinct ids in arbitrary order, ages
+        // ascending along the vector (the core's residency order).
+        const unsigned n = 1 + below(24);
+        std::vector<unsigned> ids(kMaxId);
+        std::iota(ids.begin(), ids.end(), 0u);
+        std::shuffle(ids.begin(), ids.end(), rng);
+        std::vector<std::uint64_t> tickets(n);
+        std::iota(tickets.begin(), tickets.end(), std::uint64_t{1});
+        std::shuffle(tickets.begin(), tickets.end(), rng);
+        std::vector<std::unique_ptr<Warp>> owned;
+        std::vector<Warp *> warps;
+        UnitMask mask;
+        mask.valid = true;
+        std::uint64_t age = 0;
+        for (unsigned k = 0; k < n; ++k) {
+            age += 1 + below(3);
+            owned.push_back(std::make_unique<Warp>(ids[k], 0, k, age, 1,
+                                                   1, kFullMask));
+            Warp &w = *owned.back();
+            const std::uint64_t bit = std::uint64_t{1} << k;
+            if (below(5) == 0)
+                w.setAtBarrier(true);
+            else
+                mask.issuable |= bit;
+            if (below(3) == 0) {
+                w.bows().backedOff = true;
+                w.bows().backoffSeq = tickets[k];
+                mask.backedOff |= bit;
+            }
+            // Small ranges so criticality ties fall back to age.
+            CawaState &c = w.cawa();
+            c.estRemaining = below(4) * 10.0;
+            c.issued = below(3);
+            c.activeCycles = below(8);
+            c.stallCycles = below(4);
+            warps.push_back(&w);
+        }
+        // A warp that already finished: out of the vector, yet it may
+        // still be the last-issued one.
+        Warp finished(ids[n], 0, 0, ++age, 1, 1, kFullMask);
+        RandomGate gate;
+        gate.finished = &finished;
+        for (unsigned id = 0; id < kMaxId; ++id)
+            gate.pass.push_back(below(3) != 0);
+        const Cycle now = rng() % 100000;
+        const bool deprio = below(2) == 0;
+
+        std::vector<std::unique_ptr<Scheduler>> policies;
+        policies.push_back(std::make_unique<LrrScheduler>());
+        policies.push_back(std::make_unique<GtoScheduler>(0));
+        policies.push_back(std::make_unique<GtoScheduler>(1 + below(50)));
+        policies.push_back(std::make_unique<CawaScheduler>());
+        policies.push_back(
+            std::make_unique<TwoLevelScheduler>(1u << below(4)));
+        for (auto &sched : policies) {
+            // Up to two earlier issues: residents or the finished warp
+            // (TwoLevel keeps the latter's group active).
+            for (unsigned i = below(3); i > 0; --i) {
+                const unsigned k = below(n + 1);
+                sched->notifyIssued(k < n ? warps[k] : &finished, now - 1);
+            }
+            Warp *got = sched->pick(warps, mask, now, deprio, gate);
+            if (!got && deprio)
+                got = pickBackedOff(warps, mask, gate);
+            Warp *want = referencePick(*sched, warps, now, deprio, gate);
+            ASSERT_EQ(got, want)
+                << sched->name() << ", trial " << trial << ", " << n
+                << " warps, deprioritize=" << deprio
+                << " (replay with BOWSIM_TEST_SEED=" << seed << ")";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PickMatchesOrder,
+                         ::testing::ValuesIn(testSeeds()));
+
+TEST(SchedulerPick, InvalidMaskPanics)
+{
+    auto owned = makeWarps(2);
+    auto list = raw(owned);
+    RandomGate gate;
+    gate.pass.assign(2, true);
+    const UnitMask invalid;
+    GpuConfig cfg;
+    for (SchedulerKind kind : {SchedulerKind::LRR, SchedulerKind::GTO,
+                               SchedulerKind::CAWA,
+                               SchedulerKind::TwoLevel}) {
+        cfg.scheduler = kind;
+        auto sched = makeScheduler(cfg);
+        EXPECT_TRUE(sched->supportsPick());
+        EXPECT_THROW(sched->pick(list, invalid, 0, false, gate), PanicError)
+            << sched->name();
+    }
+}
+
+// --------------------------------------------------------- unit limits
+
+/** Runs a one-CTA kernel on a core with @p units scheduler units and
+ *  @p warps warp slots. */
+void
+launchOnCore(unsigned units, unsigned warps)
+{
+    GpuConfig cfg = makeGtx480Config();
+    cfg.numCores = 1;
+    cfg.numSchedulersPerCore = units;
+    cfg.maxThreadsPerCore = warps * kWarpSize;
+    Gpu gpu(cfg);
+    Program prog = assemble(R"(
+.kernel nop
+  exit;
+)");
+    gpu.launch(prog, Dim3{1, 1, 1}, Dim3{32, 1, 1}, {});
+}
+
+TEST(SchedulerUnits, CoreRejectsZeroUnits)
+{
+    EXPECT_THROW(launchOnCore(0, 48), FatalError);
+}
+
+TEST(SchedulerUnits, CoreRejectsMoreThan64WarpsPerUnit)
+{
+    EXPECT_NO_THROW(launchOnCore(1, 64));
+    EXPECT_NO_THROW(launchOnCore(2, 128));
+    EXPECT_THROW(launchOnCore(1, 65), FatalError);
+    EXPECT_THROW(launchOnCore(2, 129), FatalError);
 }
 
 // -------------------------------------------------------------- factory
