@@ -62,20 +62,6 @@ struct BenchOptions {
     /** When set, runSweep() writes the sweep artifact here (--json). */
     std::string jsonPath;
     /**
-     * When set, every registry-kernel point records a Chrome trace to a
-     * per-point file derived from this base path (--trace /
-     * BOWSIM_TRACE): "out.json" becomes "out.HT_B500.json" for point
-     * "HT/B500". Per-point files keep tracing safe under --jobs > 1.
-     */
-    std::string tracePath;
-    /**
-     * Trace category filter (--trace-filter / BOWSIM_TRACE_FILTER):
-     * comma-separated category tokens (pipe, mem, ddos, bows, barrier,
-     * or the alias sync = ddos|bows|barrier; docs/TRACING.md) applied to
-     * every point's trace recorder. Only meaningful with --trace.
-     */
-    std::string traceFilter;
-    /**
      * Escape hatch for the idle-cycle fast-forward (--no-skip /
      * BOWSIM_NO_SKIP): forces GpuConfig::idleSkip off on every point.
      * Results are bit-identical either way (that is tested); the flag
@@ -85,35 +71,15 @@ struct BenchOptions {
      */
     bool noSkip = false;
     /**
-     * When set, every runner-constructed point records a sampled metrics
-     * time series to a per-point file derived from this base path
-     * (--metrics / BOWSIM_METRICS), named like --trace fan-out. A ".csv"
-     * suffix selects CSV output, anything else JSON (docs/METRICS.md).
-     */
-    std::string metricsPath;
-    /**
-     * When set, every runner-constructed point runs with the
-     * sync-contention profiler attached and writes its JSON report to a
-     * per-point file derived from this base path (--sync-report /
-     * BOWSIM_SYNC_REPORT), named like --trace fan-out and validated by
-     * `json_check --sync-report` (docs/SYNC.md).
-     */
-    std::string syncReportPath;
-    /**
-     * Sample spacing in simulated cycles (--metrics-interval /
-     * BOWSIM_METRICS_INTERVAL). 0 defers to each point's config, which
-     * defaults to 1000 when --metrics is on. Recorded per point as
-     * config.metrics_interval.
-     */
-    Cycle metricsInterval = 0;
-    /**
-     * Per-kernel profile reports (--profile / BOWSIM_PROFILE): turns on
+     * Side outputs (docs/BENCH.md): --trace / --trace-filter /
+     * --metrics / --metrics-interval / --sync-report / --profile and
+     * their BOWSIM_* variables. The paths are base paths that runSweep
+     * fans out per point (outputsFor), so side outputs are safe under
+     * --jobs > 1. `profile` also turns on
      * GpuConfig::collectStallBreakdown for every point and prints
-     * metrics::profileReport after the sweep — per-scheduler-unit issue
-     * distribution, peak-vs-mean occupancy, ranked stall causes, and
-     * the top warps by back-off residency.
+     * metrics::profileReport after the sweep.
      */
-    bool profile = false;
+    harness::SideOutputs outputs;
     /**
      * Sweep heartbeat (--progress / BOWSIM_PROGRESS): one stderr status
      * line rewritten after every finished point with done/total counts,
@@ -155,7 +121,7 @@ sanitizeId(const std::string &id)
     return out;
 }
 
-/** Derives the per-point trace file: BASE.POINT.json next to BASE. */
+/** Derives a per-point side-output file: BASE.POINT.json next to BASE. */
 inline std::string
 tracePathFor(const std::string &base, const std::string &id)
 {
@@ -169,6 +135,20 @@ tracePathFor(const std::string &base, const std::string &id)
         stem.resize(dot);
     }
     return stem + "." + sanitizeId(id) + ext;
+}
+
+/** Point @p id's side outputs: every base path fanned out by
+ *  tracePathFor. */
+inline harness::SideOutputs
+outputsFor(const harness::SideOutputs &base, const std::string &id)
+{
+    harness::SideOutputs out = base;
+    for (std::string *path :
+         {&out.tracePath, &out.metricsPath, &out.syncReportPath}) {
+        if (!path->empty())
+            *path = tracePathFor(*path, id);
+    }
+    return out;
 }
 
 /**
@@ -219,21 +199,23 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         o.devices = parseNumber<unsigned>("BOWSIM_DEVICES", env);
     if (const char *env = std::getenv("BOWSIM_JOBS"))
         o.jobs = parseNumber<unsigned>("BOWSIM_JOBS", env);
+    harness::SideOutputs &out = o.outputs;
+    std::string trace_filter;
     if (const char *env = std::getenv("BOWSIM_TRACE"))
-        o.tracePath = env;
+        out.tracePath = env;
     if (const char *env = std::getenv("BOWSIM_TRACE_FILTER"))
-        o.traceFilter = env;
+        trace_filter = env;
     if (const char *env = std::getenv("BOWSIM_SYNC_REPORT"))
-        o.syncReportPath = env;
+        out.syncReportPath = env;
     if (const char *env = std::getenv("BOWSIM_NO_SKIP"))
         o.noSkip = env[0] != '\0' && env[0] != '0';
     if (const char *env = std::getenv("BOWSIM_METRICS"))
-        o.metricsPath = env;
+        out.metricsPath = env;
     if (const char *env = std::getenv("BOWSIM_METRICS_INTERVAL"))
-        o.metricsInterval =
+        out.metricsInterval =
             parseNumber<Cycle>("BOWSIM_METRICS_INTERVAL", env);
     if (const char *env = std::getenv("BOWSIM_PROFILE"))
-        o.profile = env[0] != '\0' && env[0] != '0';
+        out.profile = env[0] != '\0' && env[0] != '0';
     if (const char *env = std::getenv("BOWSIM_PROGRESS"))
         o.progress = env[0] != '\0' && env[0] != '0';
     auto setExecMode = [&o](const char *text) {
@@ -273,20 +255,20 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         else if (std::strncmp(argv[i], "--json=", 7) == 0)
             o.jsonPath = argv[i] + 7;
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
-            o.tracePath = argv[i] + 8;
+            out.tracePath = argv[i] + 8;
         else if (std::strncmp(argv[i], "--trace-filter=", 15) == 0)
-            o.traceFilter = argv[i] + 15;
+            trace_filter = argv[i] + 15;
         else if (std::strncmp(argv[i], "--sync-report=", 14) == 0)
-            o.syncReportPath = argv[i] + 14;
+            out.syncReportPath = argv[i] + 14;
         else if (std::strcmp(argv[i], "--no-skip") == 0)
             o.noSkip = true;
         else if (std::strncmp(argv[i], "--metrics-interval=", 19) == 0)
-            o.metricsInterval =
+            out.metricsInterval =
                 parseNumber<Cycle>("--metrics-interval", argv[i] + 19);
         else if (std::strncmp(argv[i], "--metrics=", 10) == 0)
-            o.metricsPath = argv[i] + 10;
+            out.metricsPath = argv[i] + 10;
         else if (std::strcmp(argv[i], "--profile") == 0)
-            o.profile = true;
+            out.profile = true;
         else if (std::strcmp(argv[i], "--progress") == 0)
             o.progress = true;
         else if (std::strncmp(argv[i], "--exec-mode=", 12) == 0)
@@ -296,24 +278,28 @@ parseOptions(int argc, char **argv, double default_scale = 1.0,
         else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0)
             o.cacheDir = argv[i] + 12;
     }
-    if (!o.traceFilter.empty()) {
-        std::uint32_t mask = 0;
-        if (!trace::parseCategoryFilter(o.traceFilter, &mask)) {
-            std::fprintf(stderr,
-                         "error: bad --trace-filter '%s' (expected a "
-                         "comma list of pipe, mem, ddos, bows, barrier "
-                         "or sync)\n",
-                         o.traceFilter.c_str());
-            std::exit(2);
-        }
-    }
-    // The sync profiler observes the cycle pipeline only; a functional
-    // run would write all-zero reports.
-    if (!o.syncReportPath.empty() && o.hasExecMode &&
-        o.execMode == ExecMode::Functional) {
+    if (!trace_filter.empty() &&
+        !trace::parseCategoryFilter(trace_filter, &out.traceMask)) {
         std::fprintf(stderr,
-                     "error: --sync-report needs --exec-mode=cycle\n");
+                     "error: bad --trace-filter '%s' (expected a comma "
+                     "list of pipe, mem, ddos, bows, barrier or sync)\n",
+                     trace_filter.c_str());
         std::exit(2);
+    }
+    // Side-output files observe the cycle pipeline only; a functional
+    // run would write empty traces and series and all-zero reports.
+    if (o.hasExecMode && o.execMode == ExecMode::Functional) {
+        const std::pair<const char *, const std::string &> files[] = {
+            {"--trace", out.tracePath},
+            {"--metrics", out.metricsPath},
+            {"--sync-report", out.syncReportPath}};
+        for (const auto &[flag, path] : files) {
+            if (!path.empty()) {
+                std::fprintf(stderr, "error: %s needs --exec-mode=cycle\n",
+                             flag);
+                std::exit(2);
+            }
+        }
     }
     return o;
 }
@@ -381,33 +367,17 @@ inline std::vector<SweepResult>
 runSweep(const BenchOptions &opts, const Sweep &sweep)
 {
     harness::SweepRunner runner(opts.jobs);
-    // Per-point overrides (--trace file fan-out, --no-skip) operate on
-    // a copy; the artifact then records the configs that actually ran.
+    // Per-point overrides (side-output fan-out, --no-skip) operate on a
+    // copy; the artifact then records the configs that actually ran.
     std::vector<SweepPoint> points = sweep.points;
     for (SweepPoint &p : points) {
         if (opts.noSkip)
             p.cfg.idleSkip = false;
         if (opts.devices != 0)
             p.cfg.numDevices = opts.devices;
-        if (!opts.tracePath.empty()) {
-            p.tracePath = tracePathFor(opts.tracePath, p.id);
-            p.traceFilter = opts.traceFilter;
-        }
-        if (!opts.syncReportPath.empty())
-            p.syncReportPath = tracePathFor(opts.syncReportPath, p.id);
-        if (opts.metricsInterval != 0)
-            p.cfg.metricsInterval = opts.metricsInterval;
-        if (!opts.metricsPath.empty()) {
-            p.metricsPath = tracePathFor(opts.metricsPath, p.id);
-            if (p.cfg.metricsInterval == 0)
-                p.cfg.metricsInterval = 1000;
-        }
-        if (opts.profile) {
+        p.outputs = outputsFor(opts.outputs, p.id);
+        if (opts.outputs.profile)
             p.cfg.collectStallBreakdown = true;
-            // The profile report's "hot sync objects" section needs
-            // the profiler attached even without a --sync-report.
-            p.syncProfile = true;
-        }
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
     }
@@ -457,7 +427,7 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
     }
     if (failed)
         std::exit(1);
-    if (opts.profile) {
+    if (opts.outputs.profile) {
         for (size_t i = 0; i < results.size(); ++i) {
             std::printf("\n[%s]\n%s", points[i].id.c_str(),
                         metrics::profileReport(results[i].stats).c_str());

@@ -131,6 +131,8 @@ struct CacheConfig {
 /**
  * Top-level GPU configuration (Table II "Baseline Configuration" plus the
  * pipeline/memory latencies GPGPU-Sim would read from its config files).
+ * Observer settings (trace filter, metrics interval, sync report) are
+ * not simulator inputs and live in harness::SideOutputs instead.
  */
 struct GpuConfig {
     std::string name = "GTX480";
@@ -214,34 +216,6 @@ struct GpuConfig {
      * events cannot be synthesized for skipped cycles.
      */
     bool idleSkip = true;
-
-    /**
-     * Sample period, in simulated cycles, for the time-series metrics
-     * sampler (--metrics-interval / BOWSIM_METRICS_INTERVAL on the bench
-     * binaries). 0 disables sampling; the value is only consulted when a
-     * MetricsSampler is attached via Gpu::setMetrics(). Recorded in sweep
-     * JSON artifacts so a series can be interpreted offline.
-     */
-    Cycle metricsInterval = 0;
-
-    /**
-     * Sync-contention profiler (docs/SYNC.md, "Sync observability"):
-     * number of hot addresses emitted in a --sync-report document and
-     * the --profile hot-sync section. Purely an observability knob —
-     * only consulted when a SyncProfileRegistry is attached via
-     * Gpu::setSyncProf() — and excluded from the result-cache
-     * fingerprint like metricsInterval.
-     */
-    unsigned syncTopN = 32;
-
-    /**
-     * CAS-storm detector window: the profiler classifies an address as
-     * storming when at least 90% of the last syncStormWindow CAS
-     * attempts failed, and clears the flag below 50% (hysteresis).
-     * Capped at 64 attempts (one machine word of history per address).
-     * Observability-only, like syncTopN.
-     */
-    unsigned syncStormWindow = 64;
 
     // --- Execution mode (docs/PERF.md, "Execution modes") ----------------
     /**

@@ -242,7 +242,7 @@ FingerprintHasher::hex()
  * the exclusion must be explicit and the size below still updated.
  */
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(GpuConfig) == 352 && sizeof(BowsConfig) == 72 &&
+static_assert(sizeof(GpuConfig) == 328 && sizeof(BowsConfig) == 72 &&
                   sizeof(DdosConfig) == 40 && sizeof(CacheConfig) == 24,
               "GpuConfig layout changed: update hashConfig() and "
               "configToJson() for any new result-relevant field, then "
@@ -334,17 +334,12 @@ hashConfig(FingerprintHasher &h, const GpuConfig &cfg)
     h.add("collect_stall_breakdown", cfg.collectStallBreakdown);
     h.add("collect_spin_cycles", cfg.collectSpinCycles);
 
-    // Deliberately excluded — execution knobs whose non-effect on
-    // results is contractual and locked in by the differential suites
-    // (docs/PERF.md): idleSkip (SkipEquivalence), metricsInterval
-    // (inert without an attached sampler; sampler points bypass the
-    // cache anyway). Excluding them lets a cache warmed with idle-skip
-    // on serve a --no-skip run.
-    // syncTopN and syncStormWindow (docs/SYNC.md) join that list: they
-    // only shape the sync-report/profile *rendering* of an attached
-    // SyncProfileRegistry, never KernelStats or timing, and points with
-    // a --sync-report side output bypass the cache exactly like traced
-    // and metrics-sampled points do.
+    // Deliberately excluded: idleSkip, an execution knob whose
+    // non-effect on results is contractual and locked in by the
+    // differential suites (docs/PERF.md, SkipEquivalence). Excluding it
+    // lets a cache warmed with idle-skip on serve a --no-skip run.
+    // Observer settings are not GpuConfig fields at all (SideOutputs),
+    // and points with side outputs bypass the cache.
 
     h.add("exec_mode", std::string(toString(cfg.execMode)));
 }
@@ -431,8 +426,7 @@ PointKey
 fingerprintPoint(const SweepPoint &point)
 {
     PointKey key;
-    if (!point.tracePath.empty() || !point.metricsPath.empty() ||
-        !point.syncReportPath.empty() || point.syncProfile) {
+    if (point.outputs.any()) {
         key.reason = "side outputs are not regenerated by a cache hit";
         return key;
     }

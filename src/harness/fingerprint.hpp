@@ -79,14 +79,12 @@ class FingerprintHasher {
 };
 
 /**
- * Hashes every result-relevant GpuConfig field into @p h. The
- * exclusions are the execution knobs whose non-effect on results is
- * contractual and differentially tested (docs/PERF.md): idleSkip and
- * metricsInterval, plus the report-shaping syncTopN and
- * syncStormWindow (docs/SYNC.md). Everything else — including fields
- * that only gate optional stats collection (collectStallBreakdown,
- * collectSpinCycles), since they change what statsToJson emits — is
- * included. A field-coverage guard in fingerprint.cpp fails the build
+ * Hashes every result-relevant GpuConfig field into @p h. The one
+ * exclusion is idleSkip, an execution knob whose non-effect on results
+ * is contractual and differentially tested (docs/PERF.md). Everything
+ * else — including fields that only gate optional stats collection
+ * (collectStallBreakdown, collectSpinCycles), since they change what
+ * statsToJson emits — is included. A field-coverage guard in fingerprint.cpp fails the build
  * when GpuConfig grows without this function being revisited.
  */
 void hashConfig(FingerprintHasher &h, const GpuConfig &cfg);
@@ -116,9 +114,9 @@ struct PointKey {
 /**
  * Computes @p point's fingerprint, the one place that decides whether
  * a sweep point may be served from the result cache:
- *  - points with a side output (tracePath, metricsPath,
- *    syncReportPath or syncProfile) are not cacheable, because a
- *    cache hit would not regenerate the side files or report text;
+ *  - points with side outputs (SideOutputs::any()) are not
+ *    cacheable, because a cache hit would not regenerate the side
+ *    files or report text;
  *  - registry points hash (schema version, config, kernel, scale, the
  *    assembled programs of makeBenchmark(kernel, scale));
  *  - gpuBody points with a declared cacheSalt hash (schema version,

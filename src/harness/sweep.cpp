@@ -30,34 +30,40 @@ resolveJobs(unsigned requested)
 
 namespace {
 
+/** Runs one side-output write; a failure fails an otherwise good point
+ *  (the first error wins). */
+template <typename Write>
+void
+writeSideOutput(SweepResult &r, Write &&write)
+{
+    try {
+        write();
+    } catch (const std::exception &e) {
+        if (r.ok) {
+            r.ok = false;
+            r.error = e.what();
+        }
+    }
+}
+
 SweepResult
 runPoint(const SweepPoint &point)
 {
-    SweepResult r;
+    const SideOutputs &out = point.outputs;
     std::unique_ptr<trace::RingRecorder> recorder;
-    if (!point.tracePath.empty()) {
+    if (!out.tracePath.empty()) {
         recorder = std::make_unique<trace::RingRecorder>();
-        if (!point.traceFilter.empty()) {
-            std::uint32_t mask = 0;
-            if (!trace::parseCategoryFilter(point.traceFilter, &mask)) {
-                r.error = "bad --trace-filter '" + point.traceFilter + "'";
-                return r;
-            }
-            recorder->setFilter(mask);
-        }
+        recorder->setFilter(out.traceMask);
     }
     std::unique_ptr<metrics::MetricsSampler> sampler;
-    if (!point.metricsPath.empty()) {
-        const Cycle interval =
-            point.cfg.metricsInterval ? point.cfg.metricsInterval : 1000;
+    if (!out.metricsPath.empty()) {
         sampler = std::make_unique<metrics::MetricsSampler>(
-            interval, point.metricsPath);
+            out.sampleInterval(), out.metricsPath);
     }
     std::unique_ptr<syncprof::SyncProfileRegistry> syncreg;
-    if (!point.syncReportPath.empty() || point.syncProfile) {
-        syncreg = std::make_unique<syncprof::SyncProfileRegistry>(
-            point.cfg.syncTopN, point.cfg.syncStormWindow);
-    }
+    if (!out.syncReportPath.empty() || out.profile)
+        syncreg = std::make_unique<syncprof::SyncProfileRegistry>();
+    SweepResult r;
     try {
         Gpu gpu(point.cfg);
         if (recorder)
@@ -75,53 +81,32 @@ runPoint(const SweepPoint &point)
     } catch (...) {
         r.error = "unknown error";
     }
+    // Written even on failure: a livelocked point's contention report,
+    // and the series and trace window ending at a watchdog abort, are
+    // the ones worth reading.
     if (syncreg) {
         r.syncProfileText = syncreg->hotReport();
-        if (!point.syncReportPath.empty()) {
-            // Written even on failure: a livelocked point's contention
-            // report is the one worth reading.
-            try {
-                std::ofstream out(point.syncReportPath);
-                if (!out) {
-                    fatal("cannot write sync report '",
-                          point.syncReportPath, "'");
+        if (!out.syncReportPath.empty()) {
+            writeSideOutput(r, [&] {
+                std::ofstream file(out.syncReportPath);
+                if (!file) {
+                    fatal("cannot write sync report '", out.syncReportPath,
+                          "'");
                 }
-                out << syncreg->reportJson().dump(2) << "\n";
-            } catch (const std::exception &e) {
-                if (r.ok) {
-                    r.ok = false;
-                    r.error = e.what();
-                }
-            }
+                file << syncreg->reportJson().dump(2) << "\n";
+            });
         }
     }
-    if (sampler) {
-        // Like the trace below: written even on failure, so the series
-        // leading up to a watchdog abort is preserved.
-        try {
-            sampler->writeFile();
-        } catch (const std::exception &e) {
-            if (r.ok) {
-                r.ok = false;
-                r.error = e.what();
-            }
-        }
-    }
+    if (sampler)
+        writeSideOutput(r, [&] { sampler->writeFile(); });
     if (recorder) {
-        // Written even on failure: the retained window ending at a
-        // watchdog abort is the most useful trace of all.
-        try {
+        writeSideOutput(r, [&] {
             trace::ChromeTraceMeta meta;
             meta.label = point.id;
             meta.dropped = recorder->dropped();
-            trace::writeChromeTraceFile(recorder->events(),
-                                        point.tracePath, meta);
-        } catch (const std::exception &e) {
-            if (r.ok) {
-                r.ok = false;
-                r.error = e.what();
-            }
-        }
+            trace::writeChromeTraceFile(recorder->events(), out.tracePath,
+                                        meta);
+        });
     }
     return r;
 }
@@ -486,8 +471,12 @@ statsFromJson(const Json &j)
     return s;
 }
 
+namespace {
+
+/** The sweep-relevant fields of @p cfg, plus the metrics sample spacing
+ *  the point ran with (a side-output setting, not a GpuConfig field). */
 Json
-configToJson(const GpuConfig &cfg)
+configToJson(const GpuConfig &cfg, Cycle metrics_interval)
 {
     Json j = Json::object();
     j.set("name", cfg.name);
@@ -501,7 +490,7 @@ configToJson(const GpuConfig &cfg)
         j.set("switch_latency", cfg.switchLatency);
     }
     j.set("idle_skip", cfg.idleSkip);
-    j.set("metrics_interval", cfg.metricsInterval);
+    j.set("metrics_interval", metrics_interval);
     j.set("atomic_service_period", cfg.atomicServicePeriod);
     j.set("exec_mode", toString(cfg.execMode));
     j.set("scheduler", toString(cfg.scheduler));
@@ -517,6 +506,8 @@ configToJson(const GpuConfig &cfg)
     j.set("ddos_time_share", cfg.ddos.timeShare);
     return j;
 }
+
+}  // namespace
 
 Json
 sweepToJson(const std::string &bench_name, unsigned jobs,
@@ -547,7 +538,9 @@ sweepToJson(const std::string &bench_name, unsigned jobs,
             p.set("kernel", points[i].kernel);
         p.set("scale", points[i].scale);
         p.set("ok", results[i].ok);
-        p.set("config", configToJson(points[i].cfg));
+        p.set("config",
+              configToJson(points[i].cfg,
+                           points[i].outputs.sampleInterval()));
         if (results[i].ok)
             p.set("stats", statsToJson(results[i].stats));
         else

@@ -1,6 +1,7 @@
 #ifndef BOWSIM_HARNESS_SWEEP_HPP
 #define BOWSIM_HARNESS_SWEEP_HPP
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -29,6 +30,62 @@ namespace bowsim::harness {
 
 class ResultCache;
 
+/**
+ * A point's side outputs: the observers the runner attaches to its Gpu
+ * (trace recorder, metrics sampler, sync-contention profiler) and the
+ * file each one writes. Every file is written even when the point
+ * fails — the window leading up to a watchdog abort is the one worth
+ * reading — and the first failed write fails an otherwise good point.
+ * Each point owns its observers, so side outputs are safe under any
+ * --jobs. The observers watch the cycle pipeline only.
+ */
+struct SideOutputs {
+    /** Sample spacing used while metricsPath is set and
+     *  metricsInterval is 0. */
+    static constexpr Cycle kDefaultMetricsInterval = 1000;
+
+    /** Chrome trace_event JSON of a ring-buffered trace recorder
+     *  (docs/TRACING.md). */
+    std::string tracePath;
+    /** trace::Category bitmask applied to the recorder (parsed from
+     *  --trace-filter by trace::parseCategoryFilter); events outside it
+     *  never enter the ring. 0 records everything. */
+    std::uint32_t traceMask = 0;
+    /** Sampled metrics time series: CSV for a ".csv" suffix, else JSON
+     *  (docs/METRICS.md). */
+    std::string metricsPath;
+    /** Metrics sample spacing in simulated cycles; see sampleInterval(). */
+    Cycle metricsInterval = 0;
+    /** JSON sync-contention report (docs/SYNC.md), validated by
+     *  `json_check --sync-report`. Byte-identical across --jobs and
+     *  idle-skip. */
+    std::string syncReportPath;
+    /** Attach a sync profiler even without a syncReportPath, for the
+     *  --profile report's "hot sync objects" section
+     *  (SweepResult::syncProfileText). */
+    bool profile = false;
+
+    /** Whether any observer is attached (such a point is never served
+     *  from the result cache; see fingerprintPoint). */
+    bool
+    any() const
+    {
+        return !tracePath.empty() || !metricsPath.empty() ||
+               !syncReportPath.empty() || profile;
+    }
+
+    /** The metrics sample spacing in effect — metricsInterval, or
+     *  kDefaultMetricsInterval while sampling with metricsInterval 0 —
+     *  recorded per point as config.metrics_interval. */
+    Cycle
+    sampleInterval() const
+    {
+        if (metricsInterval == 0 && !metricsPath.empty())
+            return kDefaultMetricsInterval;
+        return metricsInterval;
+    }
+};
+
 /** One independent simulation in a sweep. */
 struct SweepPoint {
     /** Unique label for output/JSON rows, e.g. "HT/B500". */
@@ -46,46 +103,8 @@ struct SweepPoint {
      * the Gpu.
      */
     std::function<KernelStats(Gpu &)> gpuBody;
-    /**
-     * When set, the point runs with a ring-buffered trace recorder
-     * attached and writes a Chrome trace_event JSON document here (see
-     * docs/TRACING.md). The file is written even when the point fails,
-     * so the trace window leading up to a watchdog abort is preserved.
-     * Each point owns its recorder, so tracing is safe under any --jobs.
-     */
-    std::string tracePath;
-    /**
-     * Optional trace category filter ("sync,mem", ...; see
-     * trace::parseCategoryFilter and docs/TRACING.md) applied to the
-     * recorder when tracePath is set; events outside the selected
-     * categories never enter the ring, deepening the retained window.
-     * Empty records everything. An unparseable filter fails the point.
-     */
-    std::string traceFilter;
-    /**
-     * When set, the point runs with a MetricsSampler attached (interval
-     * cfg.metricsInterval, or 1000 when that is 0) and writes the
-     * sampled time series here (CSV for a ".csv" suffix, else JSON; see
-     * docs/METRICS.md). Written even when the point fails, like
-     * tracePath.
-     */
-    std::string metricsPath;
-    /**
-     * When set, the point runs with a sync-contention profiler attached
-     * (Gpu::setSyncProf; docs/SYNC.md) and writes its JSON report —
-     * top-N hot addresses, latency histograms, fairness, storm
-     * intervals — here, validated by `json_check --sync-report`.
-     * Written even when the point fails (a livelocked point's report is
-     * the interesting one). Deterministic: byte-identical across
-     * --jobs and idle-skip.
-     */
-    std::string syncReportPath;
-    /**
-     * Attach a sync profiler even without a syncReportPath so the
-     * --profile report can include its "hot sync objects" section
-     * (SweepResult::syncProfileText). Implied by syncReportPath.
-     */
-    bool syncProfile = false;
+    /** Observers attached to the point's Gpu and the files they write. */
+    SideOutputs outputs;
     /**
      * Opt-in content key for `gpuBody` points (ignored otherwise). The
      * runner cannot see inside a gpuBody closure, so such a point is
@@ -110,7 +129,7 @@ struct SweepResult {
     std::string error;
     Source source = Source::Simulated;
     /** "Hot sync objects" text for the --profile report (points run
-     *  with SweepPoint::syncProfile; empty otherwise). */
+     *  with a sync profiler attached; empty otherwise). */
     std::string syncProfileText;
 };
 
@@ -180,9 +199,6 @@ Json statsToJson(const KernelStats &s);
  * miss).
  */
 KernelStats statsFromJson(const Json &j);
-
-/** Serializes the sweep-relevant fields of @p cfg. */
-Json configToJson(const GpuConfig &cfg);
 
 /**
  * Builds the BENCH_*.json artifact document for one finished sweep:

@@ -127,6 +127,12 @@ struct LitmusGolden {
     std::uint64_t sibInstructions;
 };
 
+/** Stable test IDs, like PrintTo(const Golden &) above. */
+void PrintTo(const LitmusGolden &g, std::ostream *os)
+{
+    *os << g.name;
+}
+
 const LitmusGolden kLitmusGolden[] = {
     // The known-livelocking cell: over-subscribed TAS under pure GTO
     // with scarce atomic bandwidth — the spinners' CAS storm starves

@@ -308,44 +308,12 @@ TEST(Fingerprint, StableAcrossCallsAndExcludedKnobs)
     EXPECT_EQ(a.hash.size(), 64u);
     EXPECT_EQ(a.hash, b.hash);
 
-    // The contractual execution knobs (docs/PERF.md) must not move the
-    // key: results are byte-identical across them, so caching across
-    // them is exactly the point. Each knob is mutated on its own so a
-    // regression names the offending field.
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "idleSkip";
-    }
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.metricsInterval = 12345;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "metricsInterval";
-    }
-    // The sync-profiler knobs shape the report, never the simulation
-    // (the profiler is observational by construction), so they are
-    // excluded like the metrics interval.
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.syncTopN = 7;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "syncTopN";
-    }
-    {
-        SweepPoint knobs = p;
-        knobs.cfg.syncStormWindow = 16;
-        EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash)
-            << "syncStormWindow";
-    }
-    // And all of them together.
+    // The contractual execution knob (docs/PERF.md) must not move the
+    // key: results are byte-identical across it, so caching across it
+    // is exactly the point.
     SweepPoint knobs = p;
     knobs.cfg.idleSkip = !knobs.cfg.idleSkip;
-    knobs.cfg.metricsInterval = 12345;
-    knobs.cfg.syncTopN = 7;
-    knobs.cfg.syncStormWindow = 16;
-    EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash);
+    EXPECT_EQ(harness::fingerprintPoint(knobs).hash, a.hash) << "idleSkip";
 }
 
 TEST(Fingerprint, EveryResultRelevantConfigFieldChangesKey)
@@ -498,10 +466,10 @@ TEST(Fingerprint, SideOutputPointsAreNotCacheable)
     // A cache hit would not regenerate a trace, metrics series, sync
     // report or profile text, so each side output alone opts out.
     const std::vector<void (*)(SweepPoint &)> side_outputs = {
-        [](SweepPoint &p) { p.tracePath = "t.json"; },
-        [](SweepPoint &p) { p.metricsPath = "m.json"; },
-        [](SweepPoint &p) { p.syncReportPath = "s.json"; },
-        [](SweepPoint &p) { p.syncProfile = true; },
+        [](SweepPoint &p) { p.outputs.tracePath = "t.json"; },
+        [](SweepPoint &p) { p.outputs.metricsPath = "m.json"; },
+        [](SweepPoint &p) { p.outputs.syncReportPath = "s.json"; },
+        [](SweepPoint &p) { p.outputs.profile = true; },
     };
     for (std::size_t i = 0; i < side_outputs.size(); ++i) {
         SweepPoint p = registryPoint();
@@ -773,7 +741,7 @@ TEST(CacheIntegration, SideOutputsAndOpaquePointsBypass)
     TempDir td("integration_bypass");
     std::vector<SweepPoint> points;
     SweepPoint traced = registryPoint("traced");
-    traced.tracePath = (td.path / "trace.json").string();
+    traced.outputs.tracePath = (td.path / "trace.json").string();
     points.push_back(traced);
     SweepPoint opaque = registryPoint("opaque");
     opaque.gpuBody = [](Gpu &) {
@@ -795,7 +763,7 @@ TEST(CacheIntegration, SideOutputsAndOpaquePointsBypass)
     EXPECT_EQ(c.misses, 0u);
     EXPECT_EQ(c.stored, 0u);
     // The side output itself is still produced.
-    EXPECT_TRUE(fs::exists(traced.tracePath));
+    EXPECT_TRUE(fs::exists(traced.outputs.tracePath));
 }
 
 TEST(CacheIntegration, InterruptedRwRunResumesFromTheObjectStore)

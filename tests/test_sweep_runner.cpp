@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -8,6 +11,7 @@
 #include "src/harness/sweep.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/sim/gpu.hpp"
+#include "src/trace/trace.hpp"
 
 /**
  * @file
@@ -244,6 +248,52 @@ TEST(SweepToJson, RecordsExecMode)
     EXPECT_NE(sampled.message.find("unknown exec_mode \"sampled\""),
               std::string::npos)
         << sampled.message;
+}
+
+TEST(SideOutputs, RunnerAppliesTheBundle)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "bowsim_side_outputs_bundle";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    std::vector<SweepPoint> points = smallSweep();
+    points.resize(3);
+    // Point 0 traces the mem category only and samples at the default
+    // interval; point 1 sets an interval without sampling; point 2 has
+    // no side outputs.
+    points[0].outputs.tracePath = (dir / "trace.json").string();
+    points[0].outputs.traceMask =
+        static_cast<std::uint32_t>(trace::Category::Mem);
+    points[0].outputs.metricsPath = (dir / "metrics.json").string();
+    points[1].outputs.metricsInterval = 500;
+    const std::vector<SweepResult> results = SweepRunner(1).run(points);
+    for (const SweepResult &r : results)
+        ASSERT_TRUE(r.ok) << r.error;
+
+    std::ifstream in(points[0].outputs.tracePath);
+    std::stringstream text;
+    text << in.rdbuf();
+    const Json trace_doc = Json::parse(text.str());
+    std::size_t timed = 0;
+    for (const Json &ev : trace_doc.at("traceEvents").items()) {
+        if (ev.at("ph").asString() == "M")
+            continue;
+        EXPECT_EQ(ev.at("cat").asString(), "mem");
+        ++timed;
+    }
+    EXPECT_GT(timed, 0u);
+    EXPECT_TRUE(fs::exists(points[0].outputs.metricsPath));
+
+    // The artifact records the interval each point ran with: the
+    // default only while sampling, an explicit one as given.
+    const Json doc = harness::sweepToJson("unit_test", 1, points, results);
+    const Json &arr = doc.at("points");
+    EXPECT_EQ(arr.at(0).at("config").at("metrics_interval").asInt(), 1000);
+    EXPECT_EQ(arr.at(1).at("config").at("metrics_interval").asInt(), 500);
+    EXPECT_EQ(arr.at(2).at("config").at("metrics_interval").asInt(), 0);
+    fs::remove_all(dir);
 }
 
 }  // namespace

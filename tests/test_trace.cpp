@@ -63,6 +63,40 @@ TEST(TraceStrings, IntervalPairsShareOneChromeName)
                  toString(EventKind::BarrierExit));
 }
 
+TEST(TraceFilter, ParsesEachTokenTheSyncAliasAndRejectsTheRest)
+{
+    using trace::Category;
+    auto bits = [](std::initializer_list<Category> cats) {
+        std::uint32_t m = 0;
+        for (Category c : cats)
+            m |= static_cast<std::uint32_t>(c);
+        return m;
+    };
+    const std::pair<const char *, std::uint32_t> accepted[] = {
+        {"pipe", bits({Category::Pipe})},
+        {"mem", bits({Category::Mem})},
+        {"ddos", bits({Category::Ddos})},
+        {"bows", bits({Category::Bows})},
+        {"barrier", bits({Category::Barrier})},
+        {"sync", bits({Category::Ddos, Category::Bows, Category::Barrier})},
+        {"sync,mem", bits({Category::Ddos, Category::Bows,
+                           Category::Barrier, Category::Mem})},
+        {"pipe,pipe", bits({Category::Pipe})},
+    };
+    for (const auto &[text, mask] : accepted) {
+        std::uint32_t got = 0;
+        EXPECT_TRUE(trace::parseCategoryFilter(text, &got)) << text;
+        EXPECT_EQ(got, mask) << text;
+    }
+    // Unknown, empty and case-mismatched tokens are all rejected.
+    for (const char *text :
+         {"", "bogus", "sync,bogus", "mem,", ",mem", "sync,,mem", "Pipe",
+          " mem", "all"}) {
+        std::uint32_t got = 0;
+        EXPECT_FALSE(trace::parseCategoryFilter(text, &got)) << text;
+    }
+}
+
 TEST(RingRecorderTest, RetainsMostRecentWindow)
 {
     RingRecorder rec(8);
