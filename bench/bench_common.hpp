@@ -137,16 +137,23 @@ tracePathFor(const std::string &base, const std::string &id)
     return stem + "." + sanitizeId(id) + ext;
 }
 
-/** Point @p id's side outputs: every base path fanned out by
- *  tracePathFor. */
+/**
+ * Point @p p's side outputs: every base path fanned out by tracePathFor.
+ * Side-output files observe the cycle pipeline only, so a point that
+ * runs in functional mode (a bench may set cfg.execMode itself) gets no
+ * file paths rather than an empty trace, series or report.
+ */
 inline harness::SideOutputs
-outputsFor(const harness::SideOutputs &base, const std::string &id)
+outputsFor(const harness::SideOutputs &base, const SweepPoint &p)
 {
     harness::SideOutputs out = base;
+    const bool functional = p.cfg.execMode == ExecMode::Functional;
     for (std::string *path :
          {&out.tracePath, &out.metricsPath, &out.syncReportPath}) {
-        if (!path->empty())
-            *path = tracePathFor(*path, id);
+        if (functional)
+            path->clear();
+        else if (!path->empty())
+            *path = tracePathFor(*path, p.id);
     }
     return out;
 }
@@ -375,11 +382,11 @@ runSweep(const BenchOptions &opts, const Sweep &sweep)
             p.cfg.idleSkip = false;
         if (opts.devices != 0)
             p.cfg.numDevices = opts.devices;
-        p.outputs = outputsFor(opts.outputs, p.id);
         if (opts.outputs.profile)
             p.cfg.collectStallBreakdown = true;
         if (opts.hasExecMode)
             p.cfg.execMode = opts.execMode;
+        p.outputs = outputsFor(opts.outputs, p);
     }
     // Result cache (docs/BENCH.md): the runner serves fingerprint hits
     // without simulating. The cache must outlive runner.run().

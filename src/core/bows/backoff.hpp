@@ -2,7 +2,6 @@
 #define BOWSIM_CORE_BOWS_BACKOFF_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "src/arch/warp.hpp"
 #include "src/common/config.hpp"
@@ -18,8 +17,8 @@
  *  2. A backed-off warp may issue only when its pending back-off delay
  *     has expired; backed-off warps are ordered FIFO by entry time.
  *  3. When a backed-off warp issues, it leaves the backed-off state and
- *     its pending delay is re-armed to the current delay limit — setting
- *     a minimum spacing between consecutive spin-loop iterations.
+ *     its delay is re-armed to the current delay limit — setting a
+ *     minimum spacing between consecutive spin-loop iterations.
  */
 
 namespace bowsim {
@@ -67,37 +66,10 @@ class BackoffUnit {
     }
 
     /**
-     * Warp @p w won arbitration: leaving the backed-off state re-arms its
-     * pending delay to the current limit.
-     */
-    void
-    onIssue(Warp &w)
-    {
-        BowsState &b = w.bows();
-        if (b.backedOff) {
-            b.backedOff = false;
-            --backedOffCount_;
-            b.pendingDelay = currentLimit_;
-        }
-    }
-
-    /** True when BOWS permits @p w to compete for an issue slot at all. */
-    bool
-    mayIssue(const Warp &w) const
-    {
-        if (!cfg_.enabled)
-            return true;
-        const BowsState &b = w.bows();
-        return !b.backedOff || b.pendingDelay == 0;
-    }
-
-    /**
-     * Deadline-based twins of onIssue()/mayIssue() used by the simulator
-     * hot path: arming records an absolute expiry cycle instead of a
-     * counter, so cycle()'s per-warp decrement loop is unnecessary. A
-     * delay of L armed at issue cycle c first allows issue at cycle
-     * c + L — identical to decrementing a counter of L once per
-     * subsequent cycle.
+     * Warp @p w won arbitration at cycle @p now: leaving the backed-off
+     * state arms its delay as an absolute deadline, so no per-cycle
+     * counter ticking is needed. A delay of L armed at issue cycle c
+     * first allows issue at cycle c + L.
      */
     void
     onIssue(Warp &w, Cycle now)
@@ -116,6 +88,8 @@ class BackoffUnit {
         }
     }
 
+    /** True when BOWS permits @p w to compete for an issue slot at
+     *  @p now at all. */
     bool
     mayIssue(const Warp &w, Cycle now) const
     {
@@ -127,18 +101,6 @@ class BackoffUnit {
 
     /** Currently backed-off warps (Fig. 11 occupancy accounting). */
     unsigned backedOffCount() const { return backedOffCount_; }
-
-    /** Ticks every resident warp's pending-delay counter. */
-    void
-    cycle(std::vector<Warp *> &resident)
-    {
-        if (!cfg_.enabled)
-            return;
-        for (Warp *w : resident) {
-            if (w->bows().pendingDelay > 0)
-                --w->bows().pendingDelay;
-        }
-    }
 
     /** Feeds the adaptive estimator; call once per issued instruction. */
     void

@@ -15,7 +15,6 @@ FunctionalExecutor::FunctionalExecutor(const GpuConfig &cfg,
     const Program &prog = *launch_.prog;
     blockThreads_ = launch_.block.count();
     gridCtas_ = launch_.grid.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : gridCtas_;
     warpsPerCta_ = (blockThreads_ + kWarpSize - 1) / kWarpSize;
     maxResidentCtas_ = maxResidentCtasFor(cfg, prog, blockThreads_);
     code_ = prog.code.data();
@@ -36,19 +35,19 @@ FunctionalExecutor::fetch(Pc pc) const
 bool
 FunctionalExecutor::finished() const
 {
-    return residentCtas_ == 0 && launch_.nextCta >= ctaEnd_;
+    return residentCtas_ == 0 && launch_.nextCta >= launch_.ctaEnd;
 }
 
 void
 FunctionalExecutor::tryLaunchCtas(FSm &sm)
 {
-    if (launch_.nextCta >= ctaEnd_ || sm.validCtas == maxResidentCtas_)
+    if (launch_.nextCta >= launch_.ctaEnd || sm.validCtas == maxResidentCtas_)
         return;
     const Program &prog = *launch_.prog;
     for (FCta &slot : sm.ctas) {
         if (slot.valid)
             continue;
-        if (launch_.nextCta >= ctaEnd_)
+        if (launch_.nextCta >= launch_.ctaEnd)
             return;
         unsigned cta_id = launch_.nextCta++;
         slot.valid = true;

@@ -85,8 +85,6 @@ class FunctionalExecutor {
     unsigned maxResidentCtas_ = 0;
     unsigned blockThreads_ = 0;
     unsigned gridCtas_ = 0;
-    /** One past this device's last CTA (%nctaid stays gridCtas_). */
-    unsigned ctaEnd_ = 0;
     const Instruction *code_ = nullptr;
     Pc codeSize_ = 0;
     /** Total warp instructions executed (also the pseudo-clock). */

@@ -32,6 +32,54 @@ GpuSystem::memcpyFromDevice(void *dst, Addr src, std::uint64_t bytes)
     mem_.readBytes(src, dst, bytes);
 }
 
+namespace {
+
+/**
+ * Folds the devices' stats at clock @p at (launch aggregate plus memory
+ * system) into the system aggregate, in device-id order. Single-device
+ * launches return the lone shard unchanged. Multi-device launches
+ * rebuild the per-SM tables by concatenation (operator+= folds them
+ * positionally, which would overlay device 1's SM rows onto device 0's;
+ * the system-wide tables use global, device-major SM rows) and keep the
+ * shards themselves in KernelStats::perDevice. Functional launches have
+ * empty per-SM tables, zero cycles and an idle memory system, so the
+ * same fold serves them.
+ */
+KernelStats
+mergeDevices(const std::vector<std::unique_ptr<Device>> &devices, Cycle at)
+{
+    std::vector<KernelStats> per_dev;
+    per_dev.reserve(devices.size());
+    for (const auto &dev : devices) {
+        per_dev.push_back(dev->launch.stats);
+        per_dev.back().cycles = at;
+        per_dev.back().mem = dev->memsys.stats();
+    }
+    KernelStats total = per_dev[0];
+    for (std::size_t d = 1; d < per_dev.size(); ++d)
+        total += per_dev[d];
+    total.cycles = at;
+    if (per_dev.size() > 1) {
+        total.stallCounts.clear();
+        total.unitIssues.clear();
+        total.peakResidentPerSm.clear();
+        for (const KernelStats &s : per_dev) {
+            total.stallCounts.insert(total.stallCounts.end(),
+                                     s.stallCounts.begin(),
+                                     s.stallCounts.end());
+            total.unitIssues.insert(total.unitIssues.end(),
+                                    s.unitIssues.begin(), s.unitIssues.end());
+            total.peakResidentPerSm.insert(total.peakResidentPerSm.end(),
+                                           s.peakResidentPerSm.begin(),
+                                           s.peakResidentPerSm.end());
+        }
+        total.perDevice = std::move(per_dev);
+    }
+    return total;
+}
+
+}  // namespace
+
 KernelStats
 GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
                   const std::vector<Word> &params)
@@ -44,68 +92,90 @@ GpuSystem::launch(const Program &prog, Dim3 grid, Dim3 block,
     if (block.count() == 0 || grid.count() == 0)
         fatal("launch with an empty grid or block");
 
-    abort_ = LaunchAbort{};
-    switch (cfg_.execMode) {
-      case ExecMode::Functional:
-        return launchFunctional(prog, grid, block, params);
-      case ExecMode::Cycle:
-        break;
-    }
-    return launchCycle(prog, grid, block, params);
-}
-
-KernelStats
-GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
-                       const std::vector<Word> &params)
-{
+    // Device setup, shared by both execution modes. Lock words live in
+    // the one functional memory space, so lock ownership is
+    // system-wide: a single tracker classifies a CAS on device 0
+    // against a hold taken from device 1 as an inter-warp (not fresh)
+    // failure, and warpKeyBase keeps warp keys unique across devices.
+    // CTAs shard into contiguous chunks in device-id order: device d
+    // owns [d*chunk, (d+1)*chunk), a lone device [0, grid); %nctaid
+    // stays the whole grid, so kernels are oblivious to the split.
     const unsigned num_devices = std::max(cfg_.numDevices, 1u);
-    const unsigned num_cores = cfg_.numCores;
-    const unsigned total_cores = num_cores * num_devices;
-
-    // System-level state shared by every device. Lock words live in the
-    // one functional memory space, so lock ownership is system-wide:
-    // a single tracker classifies a CAS on device 0 against a hold
-    // taken from device 1 as an inter-warp (not fresh) failure. Warp
-    // keys disambiguate across devices via LaunchState::warpKeyBase.
-    SystemLink link(cfg_);
-    LockTracker system_locks;
-
-    // CTA sharding: contiguous chunks in device-id order. Device d owns
-    // [d*chunk, (d+1)*chunk); %nctaid stays the whole grid, so kernels
-    // are oblivious to the split.
     const unsigned grid_ctas = grid.count();
     const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
-
+    LockTracker system_locks;
     std::vector<std::unique_ptr<Device>> devices;
     devices.reserve(num_devices);
     for (unsigned d = 0; d < num_devices; ++d) {
         devices.push_back(std::make_unique<Device>(d, cfg_));
-        Device &dev = *devices.back();
-        LaunchState &dl = dev.launch;
-        dl.trace =
-            trace::Tracer(traceSink_, static_cast<std::uint16_t>(d));
-        dev.memsys.setTrace(dl.trace);
-        // One registry serves all devices (like the system lock
-        // tracker): lock words live in the shared functional memory, so
-        // attribution must be system-wide. The L2 handle feeds the
-        // local/remote split per requesting device.
-        dl.sync = syncprof::SyncProf(syncProf_);
-        dev.memsys.setSyncProf(dl.sync);
+        LaunchState &dl = devices.back()->launch;
         dl.prog = &prog;
         dl.grid = grid;
         dl.block = block;
         dl.params = params;
         dl.mem = &mem_;
-        dl.memsys = &dev.memsys;
         dl.spinDetect = cfg_.spinDetect;
         dl.stats.kernel = prog.name;
         dl.deviceId = d;
         dl.tracker = &system_locks;
-        if (num_devices > 1) {
-            dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
-            dl.nextCta = std::min(d * chunk, grid_ctas);
-            dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
+        dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
+        dl.nextCta = std::min(d * chunk, grid_ctas);
+        dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
+    }
+
+    // A launch that dies (a watchdog, functional mode's progress check,
+    // or a SimError out of a core) stashes its partial statistics
+    // first, so callers like the litmus harness can classify the abort
+    // — per device and system-wide. `now` is the cycle clock (0 in
+    // functional mode). At a watchdog trip the throw happens at the top
+    // of the cycle loop on fully settled end-of-cycle state, so the
+    // stash is byte-identical across idle-skip.
+    abort_ = LaunchAbort{};
+    Cycle now = 0;
+    try {
+        if (cfg_.execMode == ExecMode::Functional)
+            return launchFunctional(devices);
+        return launchCycle(prog, devices, now);
+    } catch (...) {
+        const Cycle at = now > 0 ? now - 1 : 0;
+        abort_.valid = true;
+        abort_.stats = mergeDevices(devices, at);
+        abort_.atCycle = at;
+        for (const auto &dev : devices) {
+            abort_.lastIssueCycle =
+                std::max(abort_.lastIssueCycle, dev->lastIssue);
+            if (num_devices > 1) {
+                abort_.perDevice.push_back(
+                    {dev->id, abort_.stats.perDevice[dev->id],
+                     dev->lastIssue});
+            }
         }
+        throw;
+    }
+}
+
+KernelStats
+GpuSystem::launchCycle(const Program &prog,
+                       std::vector<std::unique_ptr<Device>> &devices,
+                       Cycle &now)
+{
+    const unsigned num_devices = static_cast<unsigned>(devices.size());
+    const unsigned num_cores = cfg_.numCores;
+    const unsigned total_cores = num_cores * num_devices;
+
+    SystemLink link(cfg_);
+    for (auto &dev : devices) {
+        LaunchState &dl = dev->launch;
+        dl.trace =
+            trace::Tracer(traceSink_, static_cast<std::uint16_t>(dev->id));
+        dev->memsys.setTrace(dl.trace);
+        // One registry serves all devices (like the system lock
+        // tracker): lock words live in the shared functional memory, so
+        // attribution must be system-wide. The L2 handle feeds the
+        // local/remote split per requesting device.
+        dl.sync = syncprof::SyncProf(syncProf_);
+        dev->memsys.setSyncProf(dl.sync);
+        dl.memsys = &dev->memsys;
     }
     // Peer table for remote routing; with one device request() never
     // consults the link (home == self always), keeping the launch
@@ -136,8 +206,9 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
     // so it leaves the active list permanently. Its only remaining
     // architectural effect would have been the per-cycle delay-limit
     // accounting (its adaptive estimator sees no instructions, so its
-    // limit is constant from then on) — applied analytically below so
-    // statistics stay bit-identical with the cycle-everything loop.
+    // limit is constant from then on) — applied analytically by
+    // Device::accountIdleCores so statistics stay bit-identical with
+    // the cycle-everything loop.
     std::vector<SmCore *> active;
     active.reserve(cores.size());
     for (auto &core : cores)
@@ -177,84 +248,13 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
                               ? kNeverCycle - 1
                               : cfg_.watchdogCycles + 1;
 
-    Cycle now = 0;
-    Cycle last_issue = 0;
-
-    // One device's stats at clock @p at: its launch aggregate plus its
-    // memory system.
-    auto device_stats = [&](unsigned d, Cycle at) {
-        KernelStats s = devices[d]->launch.stats;
-        s.cycles = at;
-        s.mem = devices[d]->memsys.stats();
-        return s;
-    };
-    // Folds per-device stats into the system aggregate, in device-id
-    // order. Single-device launches return the lone shard unchanged —
-    // byte-identical to the pre-split merge. Multi-device launches
-    // rebuild the per-SM tables by concatenation (operator+= folds them
-    // positionally, which would overlay device 1's SM rows onto device
-    // 0's; the system-wide tables use global, device-major SM rows) and
-    // keep the shards themselves in KernelStats::perDevice.
-    auto merge_devices = [&](std::vector<KernelStats> per_dev, Cycle at) {
-        KernelStats total = per_dev[0];
-        for (std::size_t d = 1; d < per_dev.size(); ++d)
-            total += per_dev[d];
-        total.cycles = at;
-        if (per_dev.size() > 1) {
-            total.stallCounts.clear();
-            total.unitIssues.clear();
-            total.peakResidentPerSm.clear();
-            for (const KernelStats &s : per_dev) {
-                total.stallCounts.insert(total.stallCounts.end(),
-                                         s.stallCounts.begin(),
-                                         s.stallCounts.end());
-                total.unitIssues.insert(total.unitIssues.end(),
-                                        s.unitIssues.begin(),
-                                        s.unitIssues.end());
-                total.peakResidentPerSm.insert(
-                    total.peakResidentPerSm.end(),
-                    s.peakResidentPerSm.begin(),
-                    s.peakResidentPerSm.end());
-            }
-            total.perDevice = std::move(per_dev);
-        }
-        return total;
-    };
-
-    // A launch that dies (watchdog, or a SimError out of a core) stashes
-    // its partial statistics first, so callers like the litmus harness
-    // can classify the abort — per device and system-wide. At the
-    // watchdog trip the throw happens at the top of the loop on fully
-    // settled end-of-cycle state, so the stash is byte-identical across
-    // idle-skip.
-    auto stash_abort = [&](Cycle at) {
-        abort_.valid = true;
-        std::vector<KernelStats> per_dev;
-        per_dev.reserve(num_devices);
-        for (unsigned d = 0; d < num_devices; ++d)
-            per_dev.push_back(device_stats(d, at));
-        if (num_devices > 1) {
-            abort_.perDevice.clear();
-            for (unsigned d = 0; d < num_devices; ++d) {
-                abort_.perDevice.push_back(
-                    {d, per_dev[d], devices[d]->lastIssue});
-            }
-        }
-        abort_.stats = merge_devices(std::move(per_dev), at);
-        abort_.atCycle = at;
-        abort_.lastIssueCycle = last_issue;
-    };
-
-    try {
     do {
         ++now;
         if (now > cfg_.watchdogCycles)
             simFatal("kernel '", prog.name, "' exceeded the ",
                      cfg_.watchdogCycles, "-cycle watchdog (deadlock?)");
-        for (auto &dev : devices) {
-            dev->launch.stats.delayLimitCycleSum += dev->idleDelaySum;
-            dev->launch.stats.smCycles += dev->idleCores;
-        }
+        for (auto &dev : devices)
+            dev->accountIdleCores(1);
         bool issued = false;
         for (SmCore *core : active) {
             if (core->cycle(now)) {
@@ -262,8 +262,6 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
                 devices[core->device()]->lastIssue = now;
             }
         }
-        if (issued)
-            last_issue = now;
         for (std::size_t i = 0; i < active.size();) {
             if (active[i]->busy()) {
                 ++i;
@@ -294,14 +292,10 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             if (target > now + 1) {
                 // Skip cycles now+1 .. target-1; cycle target runs live.
                 const Cycle to = target - 1;
-                const std::uint64_t delta = to - now;
                 for (SmCore *core : active)
                     core->fastForward(now + 1, to);
-                for (auto &dev : devices) {
-                    dev->launch.stats.delayLimitCycleSum +=
-                        dev->idleDelaySum * delta;
-                    dev->launch.stats.smCycles += dev->idleCores * delta;
-                }
+                for (auto &dev : devices)
+                    dev->accountIdleCores(to - now);
                 now = to;
             }
         }
@@ -310,10 +304,6 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
             metricsNext = metrics_->nextSampleCycle();
         }
     } while (!active.empty());
-    } catch (...) {
-        stash_abort(now > 0 ? now - 1 : 0);
-        throw;
-    }
 
     // The final cycle of the launch is recorded even when it falls off
     // the sample grid, so the series' last row matches the returned
@@ -323,15 +313,13 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
 
     // Per-device finalization: energy and DDOS accuracy from the
     // device's own cores.
-    std::vector<KernelStats> per_dev;
-    per_dev.reserve(num_devices);
     for (unsigned d = 0; d < num_devices; ++d) {
-        per_dev.push_back(device_stats(d, now));
-        KernelStats &s = per_dev.back();
-        s.energy.l2Accesses = s.mem.l2Accesses;
-        s.energy.dramAccesses = s.mem.dramAccesses;
-        s.energy.icntPackets = s.mem.icntPackets;
-        s.energy.atomicOps = s.mem.atomics;
+        KernelStats &s = devices[d]->launch.stats;
+        const MemSystemStats mem = devices[d]->memsys.stats();
+        s.energy.l2Accesses = mem.l2Accesses;
+        s.energy.dramAccesses = mem.dramAccesses;
+        s.energy.icntPackets = mem.icntPackets;
+        s.energy.atomicOps = mem.atomics;
         s.energyNj = energy_.dynamicEnergyNj(s.energy);
         s.staticEnergyNj = energy_.staticEnergyNj(s.smCycles);
         DdosAccuracy acc;
@@ -343,7 +331,7 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
         s.ddos = acc.report(prog.sync.spinBranches);
     }
 
-    KernelStats stats = merge_devices(std::move(per_dev), now);
+    KernelStats stats = mergeDevices(devices, now);
     if (num_devices > 1) {
         // System-wide energy and DDOS accuracy are recomputed from the
         // merged events rather than summed: operator+= neither sums
@@ -360,8 +348,7 @@ GpuSystem::launchCycle(const Program &prog, Dim3 grid, Dim3 block,
 }
 
 KernelStats
-GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
-                            const std::vector<Word> &params)
+GpuSystem::launchFunctional(std::vector<std::unique_ptr<Device>> &devices)
 {
     // Functional mode forces null observability sinks: there are no
     // cycles to trace or sample, so an attached trace sink or metrics
@@ -375,80 +362,25 @@ GpuSystem::launchFunctional(const Program &prog, Dim3 grid, Dim3 block,
     // instructions, so a device stuck on a peer is bounded by its own
     // executor's instruction watchdog; CTA barriers are device-local,
     // so the per-executor zero-progress check keeps its meaning.
-    const unsigned num_devices = std::max(cfg_.numDevices, 1u);
-    const unsigned grid_ctas = grid.count();
-    const unsigned chunk = (grid_ctas + num_devices - 1) / num_devices;
-    LockTracker system_locks;
-    std::vector<std::unique_ptr<LaunchState>> launches;
     std::vector<std::unique_ptr<FunctionalExecutor>> fxs;
-    for (unsigned d = 0; d < num_devices; ++d) {
-        launches.push_back(std::make_unique<LaunchState>());
-        LaunchState &dl = *launches.back();
-        dl.prog = &prog;
-        dl.grid = grid;
-        dl.block = block;
-        dl.params = params;
-        dl.mem = &mem_;
-        dl.spinDetect = cfg_.spinDetect;
-        dl.stats.kernel = prog.name;
-        dl.deviceId = d;
-        dl.tracker = &system_locks;
-        dl.warpKeyBase = static_cast<std::uint64_t>(d) << 48;
-        dl.nextCta = std::min(d * chunk, grid_ctas);
-        dl.ctaEnd = std::min((d + 1) * chunk, grid_ctas);
-        fxs.push_back(std::make_unique<FunctionalExecutor>(cfg_, dl));
-    }
-
-    // Device stats in device-id order. Single-device launches keep no
-    // per-device shards, as in cycle mode.
-    auto merged = [&] {
-        KernelStats total = launches[0]->stats;
-        for (unsigned d = 1; d < num_devices; ++d)
-            total += launches[d]->stats;
-        return total;
-    };
-    // Aborts (instruction watchdog, zero-progress check) stash the
-    // partial stats like the cycle loop; there is no cycle clock, so
-    // the issue-recency signal stays zero.
-    auto stash_abort = [&] {
-        abort_.valid = true;
-        abort_.perDevice.clear();
-        if (num_devices > 1) {
-            for (unsigned d = 0; d < num_devices; ++d)
-                abort_.perDevice.push_back({d, launches[d]->stats, 0});
-        }
-        abort_.stats = merged();
-        abort_.atCycle = 0;
-        abort_.lastIssueCycle = 0;
-    };
+    for (auto &dev : devices)
+        fxs.push_back(std::make_unique<FunctionalExecutor>(cfg_, dev->launch));
 
     // Round-robin slices, device-id order: large enough to amortize the
     // rotation walk, small enough that a device spinning on a peer's
     // store observes it within one pass.
     constexpr std::uint64_t kDeviceSlice = 1024;
-    try {
-        bool all_done = false;
-        while (!all_done) {
-            all_done = true;
-            for (auto &fx : fxs) {
-                if (fx->finished())
-                    continue;
-                if (!fx->runFor(kDeviceSlice))
-                    all_done = false;
-            }
+    bool all_done = false;
+    while (!all_done) {
+        all_done = true;
+        for (auto &fx : fxs) {
+            if (fx->finished())
+                continue;
+            if (!fx->runFor(kDeviceSlice))
+                all_done = false;
         }
-    } catch (...) {
-        stash_abort();
-        throw;
     }
-
-    KernelStats stats = merged();
-    stats.cycles = 0;
-    if (num_devices > 1) {
-        for (const auto &dl : launches)
-            stats.perDevice.push_back(dl->stats);
-    }
-    return stats;
+    return mergeDevices(devices, 0);
 }
 
 }  // namespace bowsim

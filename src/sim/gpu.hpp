@@ -1,6 +1,7 @@
 #ifndef BOWSIM_SIM_GPU_HPP
 #define BOWSIM_SIM_GPU_HPP
 
+#include <memory>
 #include <vector>
 
 #include "src/common/config.hpp"
@@ -36,6 +37,7 @@ namespace bowsim {
 namespace metrics {
 class MetricsSampler;
 }
+struct Device;
 
 /**
  * Partial statistics captured when a launch dies on a SimError (the
@@ -149,11 +151,13 @@ class GpuSystem {
     const LaunchAbort &lastAbort() const { return abort_; }
 
   private:
-    KernelStats launchCycle(const Program &prog, Dim3 grid, Dim3 block,
-                            const std::vector<Word> &params);
-    KernelStats launchFunctional(const Program &prog, Dim3 grid,
-                                 Dim3 block,
-                                 const std::vector<Word> &params);
+    /** The cycle loop over launch()'s devices; @p now is the clock,
+     *  which launch() reads to stash an abort. */
+    KernelStats launchCycle(const Program &prog,
+                            std::vector<std::unique_ptr<Device>> &devices,
+                            Cycle &now);
+    KernelStats
+    launchFunctional(std::vector<std::unique_ptr<Device>> &devices);
 
     GpuConfig cfg_;
     MemorySpace mem_;

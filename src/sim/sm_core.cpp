@@ -134,7 +134,6 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
 
     blockThreads_ = launch_.block.count();
     gridCtas_ = launch_.grid.count();
-    ctaEnd_ = launch_.ctaEnd != 0 ? launch_.ctaEnd : gridCtas_;
     code_ = launch_.prog->code.data();
     codeSize_ = static_cast<Pc>(launch_.prog->code.size());
     if (launch_.pcFlags.size() != launch_.prog->code.size())
@@ -186,20 +185,19 @@ SmCore::busy() const
 {
     // CTAs are handed out by the device's dispatcher; this SM stays busy
     // while work remains so it can pick CTAs up as slots free.
-    return validCtas_ != 0 || launch_.nextCta < ctaEnd_;
+    return validCtas_ != 0 || launch_.nextCta < launch_.ctaEnd;
 }
 
 void
 SmCore::tryLaunchCtas()
 {
-    if (launch_.nextCta >= ctaEnd_ || validCtas_ == maxResidentCtas_)
+    if (launch_.nextCta >= launch_.ctaEnd || validCtas_ == maxResidentCtas_)
         return;
     const Program &prog = *launch_.prog;
-    unsigned total_ctas = ctaEnd_;
     for (Cta &slot : ctas_) {
         if (slot.valid)
             continue;
-        if (launch_.nextCta >= total_ctas)
+        if (launch_.nextCta >= launch_.ctaEnd)
             return;
         unsigned cta_id = launch_.nextCta++;
         slot.valid = true;
@@ -300,18 +298,7 @@ SmCore::isSib(Pc pc) const
 bool
 SmCore::eligible(Warp &w) const
 {
-    if (w.done() || w.atBarrier())
-        return false;
-    if (!backoff_.mayIssue(w, now_))
-        return false;
-    const Instruction &inst = fetch(w.stack().pc());
-    if (!w.scoreboard().canIssue(inst))
-        return false;
-    if (inst.isMemory() && inst.space != MemSpace::Param &&
-        !ldst_.canAccept()) {
-        return false;
-    }
-    return true;
+    return !w.done() && classifyStall(w) == trace::StallCause::Arbitration;
 }
 
 unsigned
@@ -399,7 +386,7 @@ executeDataPath(LaunchState &launch, Warp &w, const Instruction &inst,
                 std::memcpy(sharedAt(addr), &v, inst.size);
             } else {
                 launch.mem->write(addr, v, inst.size);
-                launch.locks().onWrite(addr, v);
+                launch.tracker->onWrite(addr, v);
                 sync.onWrite(addr, clock);
             }
         }
@@ -416,7 +403,7 @@ executeDataPath(LaunchState &launch, Warp &w, const Instruction &inst,
             const Word desired =
                 inst.atom == AtomOp::Cas ? get(c, lane) : 0;
             const exec::AtomicResult r = exec::applyAtomicLane(
-                *launch.mem, launch.locks(), inst, addr, operand, desired,
+                *launch.mem, *launch.tracker, inst, addr, operand, desired,
                 warp_key);
             if (sync.enabled()) {
                 // Release = an exchange (the TAS-family unlock) or a
@@ -771,11 +758,10 @@ SmCore::cycle(Cycle now)
         }
     }
 
-    // 2. The BOWS adaptive window. (Pending delays are absolute
-    //    deadlines on this path, so there are no counters to tick.)
+    // 2. The BOWS adaptive window. (Back-off delays are absolute
+    //    deadlines, so there are no per-warp counters to tick.)
     backoff_.tickWindow(now);
     stats_.delayLimitCycleSum += backoff_.delayLimit();
-    ++stats_.smCycles;
 
     // 3. Issue: one instruction per scheduler unit per cycle (Fig. 8
     //    arbitration: the base policy's pick() over the non-backed-off
@@ -810,22 +796,7 @@ SmCore::cycle(Cycle now)
     }
 
     // 4. Per-cycle warp accounting (CAWA stalls, Fig. 11 occupancy).
-    //    The occupancy sums are running counters, so only CAWA — the one
-    //    consumer of per-warp active/stall cycles — needs the warp loop.
-    KernelStats &st = stats_;
-    if (cawaAccounting_) {
-        for (Warp *w : resident_) {
-            ++w->cawa().activeCycles;
-            if (w->lastIssueCycle() != now)
-                ++w->cawa().stallCycles;
-        }
-    }
-    if (stallAccounting_)
-        recordStallCycle(now);
-    st.residentWarpCycles += resident_.size();
-    st.backedOffWarpCycles += backoff_.backedOffCount();
-    if (spinAccounting_)
-        st.spinningWarpCycles += spinningWarpCount();
+    accountCycles(now, 1);
 
     retireFinishedCtas();
     return issued_any;
@@ -836,7 +807,7 @@ SmCore::nextWorkCycle(Cycle now) const
 {
     // A free CTA slot with grid work left dispatches next cycle (a
     // retirement at the end of cycle(now) may have just opened one).
-    if (launch_.nextCta < ctaEnd_ && validCtas_ < maxResidentCtas_)
+    if (launch_.nextCta < launch_.ctaEnd && validCtas_ < maxResidentCtas_)
         return now + 1;
     Cycle horizon = kNeverCycle;
     if (wbPending_ != 0) {
@@ -869,79 +840,51 @@ SmCore::fastForward(Cycle from, Cycle to)
 {
     // No unit issued at `from - 1` and nothing can issue before
     // nextWorkCycle() > to, so per-warp eligibility — and with it each
-    // warp's stall classification — is frozen across the gap; every
-    // per-cycle accounting step collapses to one multiplication. The
-    // adaptive-window replay is the exception: the delay limit can
-    // change at mid-gap boundaries, which fastForwardWindows()
-    // integrates exactly.
+    // warp's stall classification — is frozen across the gap: the gap is
+    // one live cycle's accounting scaled by its length. The adaptive
+    // window is the exception: the delay limit can change at mid-gap
+    // boundaries, which fastForwardWindows() integrates exactly.
     now_ = to;
-    const std::uint64_t delta = to - from + 1;
+    stats_.delayLimitCycleSum += backoff_.fastForwardWindows(from, to);
+    accountCycles(to, to - from + 1);
+}
+
+void
+SmCore::accountCycles(Cycle now, std::uint64_t n)
+{
+    // The occupancy sums are running counters, so only CAWA — the one
+    // consumer of per-warp active/stall cycles — needs the warp loop. In
+    // a gap nobody issued, so every warp counts n stall cycles.
     KernelStats &st = stats_;
-    st.delayLimitCycleSum += backoff_.fastForwardWindows(from, to);
-    st.smCycles += delta;
+    st.smCycles += n;
     if (cawaAccounting_) {
         for (Warp *w : resident_) {
-            w->cawa().activeCycles += delta;
-            w->cawa().stallCycles += delta;  // nobody issued in the gap
+            w->cawa().activeCycles += n;
+            if (w->lastIssueCycle() != now)
+                w->cawa().stallCycles += n;
         }
     }
     if (stallAccounting_)
-        recordStallGap(delta);
-    st.residentWarpCycles += delta * resident_.size();
+        recordStallCycles(now, n);
+    st.residentWarpCycles += n * resident_.size();
     st.backedOffWarpCycles +=
-        delta * static_cast<std::uint64_t>(backoff_.backedOffCount());
+        n * static_cast<std::uint64_t>(backoff_.backedOffCount());
     // Exact under fast-forward: DDOS spin state only changes at issue
     // time, and nothing issues inside an idle gap.
     if (spinAccounting_)
         st.spinningWarpCycles +=
-            delta * static_cast<std::uint64_t>(spinningWarpCount());
+            n * static_cast<std::uint64_t>(spinningWarpCount());
 }
 
 void
-SmCore::recordStallGap(std::uint64_t delta)
+SmCore::recordStallCycles(Cycle now, std::uint64_t n)
 {
-    // recordStallCycle() over unitResident_ visits exactly the resident
-    // warps; with no issues and frozen gates each warp keeps one cause
-    // for the whole gap, so the per-cycle increment becomes += delta
-    // and the grand total still advances by resident_.size() per cycle.
-    KernelStats &st = stats_;
-    const std::size_t sm_base =
-        static_cast<std::size_t>(id_) * st.stallWarpsPerSm;
-    for (Warp *w : resident_) {
-        const trace::StallCause cause = classifyStall(*w);
-        const std::size_t idx =
-            (sm_base + w->id()) * trace::kNumStallCauses +
-            static_cast<std::size_t>(cause);
-        if (idx < st.stallCounts.size())
-            st.stallCounts[idx] += delta;
-    }
-}
-
-trace::StallCause
-SmCore::classifyStall(Warp &w) const
-{
-    if (w.atBarrier())
-        return trace::StallCause::Barrier;
-    if (!backoff_.mayIssue(w, now_))
-        return trace::StallCause::Backoff;
-    const Instruction &inst = fetch(w.stack().pc());
-    if (!w.scoreboard().canIssue(inst))
-        return trace::StallCause::Scoreboard;
-    if (inst.isMemory() && inst.space != MemSpace::Param &&
-        !ldst_.canAccept()) {
-        return trace::StallCause::PipelineBusy;
-    }
-    return trace::StallCause::Arbitration;
-}
-
-void
-SmCore::recordStallCycle(Cycle now)
-{
-    // Every warp still resident after this cycle's issue gets exactly one
-    // count (Issued or its first blocking cause), so the table's grand
+    // Every warp still resident after this cycle's issue gets exactly n
+    // counts (Issued or its first blocking cause), so the table's grand
     // total matches residentWarpCycles. Classification happens after all
     // units issued; issuing only consumes resources, so a warp that looks
-    // eligible here genuinely lost arbitration.
+    // eligible here genuinely lost arbitration. Tracing never coexists
+    // with idle-skip, so IssueStall events are only emitted for n == 1.
     const bool tracing = tracer_.enabled();
     KernelStats &st = stats_;
     const std::size_t sm_base =
@@ -974,7 +917,7 @@ SmCore::recordStallCycle(Cycle now)
             std::size_t idx = (sm_base + w->id()) * trace::kNumStallCauses +
                               static_cast<std::size_t>(cause);
             if (idx < st.stallCounts.size())
-                ++st.stallCounts[idx];
+                st.stallCounts[idx] += n;
         }
         if (tracing && !unit_issued) {
             tracer_.emit(now, id_, -1, trace::EventKind::IssueStall,

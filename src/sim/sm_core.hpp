@@ -44,29 +44,23 @@ struct LaunchState {
     MemorySpace *mem = nullptr;
     MemorySystem *memsys = nullptr;
     SpinDetect spinDetect = SpinDetect::Ddos;
-    LockTracker lockTracker;
     /**
-     * System-wide lock tracker shared by every device of a launch
-     * (nullptr on a standalone LaunchState — locks() then falls back to
-     * the local tracker above). Lock words are functional state in the
-     * shared MemorySpace, so ownership must be tracked system-wide;
-     * warpKeyBase keeps the owner keys globally unique.
+     * System-wide lock tracker shared by every device of a launch. Lock
+     * words are functional state in the shared MemorySpace, so ownership
+     * must be tracked system-wide; warpKeyBase keeps the owner keys
+     * globally unique.
      */
     LockTracker *tracker = nullptr;
-    LockTracker &locks() { return tracker ? *tracker : lockTracker; }
     KernelStats stats;
     /** Event sink for this launch; the default Tracer is the null sink. */
     trace::Tracer trace;
     /** Sync-contention profiler handle (docs/SYNC.md); default null. The
      *  registry, like the system lock tracker, is shared by all devices. */
     syncprof::SyncProf sync;
-    /** Next CTA index awaiting an SM. */
+    /** This device's CTA dispatch window: the next CTA awaiting an SM
+     *  and one past the last (GpuSystem::launch gives each device a
+     *  contiguous chunk; one device gets [0, grid)). */
     unsigned nextCta = 0;
-    /**
-     * One past the last CTA this device dispatches (0 = unset: the whole
-     * grid, the single-device default). GpuSystem assigns each device a
-     * contiguous chunk [nextCta, ctaEnd).
-     */
     unsigned ctaEnd = 0;
     /** Monotonic warp age counter (GTO's age ordering), device-local. */
     std::uint64_t warpAgeCounter = 0;
@@ -164,12 +158,11 @@ class SmCore : private IssueGate {
     Cycle nextWorkCycle(Cycle now) const;
 
     /**
-     * Replays the per-cycle accounting of the idle gap [from, to] in
-     * one step: adaptive-window boundaries and the delay-limit sum,
-     * smCycles, CAWA active/stall counters, the stall-breakdown table
-     * (each warp's blocking cause is frozen through the gap), and the
-     * resident/backed-off warp-cycle sums. Callable only when no unit
-     * on this SM can issue anywhere in the gap (to < nextWorkCycle).
+     * Replays the idle gap [from, to] in one step: the adaptive-window
+     * boundaries and delay-limit sum, then accountCycles() with the gap
+     * length (each warp's blocking cause is frozen through the gap).
+     * Callable only when no unit on this SM can issue anywhere in the
+     * gap (to < nextWorkCycle).
      */
     void fastForward(Cycle from, Cycle to);
 
@@ -218,15 +211,35 @@ class SmCore : private IssueGate {
     void noteSyncTransition(trace::EventKind kind, Warp &w, Cycle now);
 
     /**
-     * Why @p w cannot issue at now_ (mirrors eligible()'s check order).
-     * Only called for resident, not-done warps that did not issue, so
-     * it returns Arbitration when every gate passes.
+     * The first blocking condition of a resident, not-done warp at now_,
+     * in StallCause order; Arbitration when every gate passes. eligible()
+     * is exactly `!done && classifyStall == Arbitration`.
      */
-    trace::StallCause classifyStall(Warp &w) const;
-    /** Per-cycle stall attribution + unit-level stall events (gated). */
-    void recordStallCycle(Cycle now);
-    /** Bulk stall attribution for @p delta identical idle cycles. */
-    void recordStallGap(std::uint64_t delta);
+    trace::StallCause
+    classifyStall(Warp &w) const
+    {
+        if (w.atBarrier())
+            return trace::StallCause::Barrier;
+        if (!backoff_.mayIssue(w, now_))
+            return trace::StallCause::Backoff;
+        const Instruction &inst = fetch(w.stack().pc());
+        if (!w.scoreboard().canIssue(inst))
+            return trace::StallCause::Scoreboard;
+        if (inst.isMemory() && inst.space != MemSpace::Param &&
+            !ldst_.canAccept()) {
+            return trace::StallCause::PipelineBusy;
+        }
+        return trace::StallCause::Arbitration;
+    }
+    /**
+     * The end-of-cycle accounting of @p n identical cycles ending at
+     * @p now: smCycles, CAWA active/stall counters, the stall table and
+     * the resident, backed-off and spinning warp-cycle sums. A live
+     * cycle passes 1, an idle gap its length.
+     */
+    void accountCycles(Cycle now, std::uint64_t n);
+    /** Stall attribution of @p n cycles + unit-level stall events. */
+    void recordStallCycles(Cycle now, std::uint64_t n);
     /** Recomputes one unit's masks and positions from its vector. */
     void rebuildUnitMask(unsigned u);
     /** Re-derives a resident warp's barrier/backed-off mask bits. */
@@ -288,8 +301,6 @@ class SmCore : private IssueGate {
     /** Launch geometry cached out of the per-lane/ per-cycle paths. */
     unsigned blockThreads_ = 0;
     unsigned gridCtas_ = 0;
-    /** One past this device's last CTA (%nctaid stays gridCtas_). */
-    unsigned ctaEnd_ = 0;
     /** Instruction stream cached for the unchecked fetch() fast path. */
     const Instruction *code_ = nullptr;
     Pc codeSize_ = 0;

@@ -56,8 +56,9 @@ enum class EventKind : std::uint16_t {
 
 /**
  * Why a warp (or a whole scheduler unit) could not issue this cycle.
- * The order mirrors SmCore::eligible()'s checks; classification picks
- * the first blocking condition.
+ * The blocking causes are listed in the order SmCore::classifyStall()
+ * checks them; a warp counts against the first that holds, and
+ * SmCore::eligible() is "not done and classified Arbitration".
  */
 enum class StallCause : std::uint8_t {
     Issued,        ///< not stalled: the warp issued this cycle
@@ -160,14 +161,6 @@ class Tracer {
         ev.a0 = a0;
         ev.a1 = a1;
         sink_->emit(ev);
-    }
-
-    /** Forwards an already-built event (commit-phase queue drain). */
-    void
-    record(const TraceEvent &ev) const
-    {
-        if (sink_)
-            sink_->emit(ev);
     }
 
   private:

@@ -30,38 +30,38 @@ TEST(Backoff, SpinBranchEntersBackedOffState)
 {
     BackoffUnit b(fixedCfg(100));
     auto w = makeWarp(0);
-    EXPECT_TRUE(b.mayIssue(*w));
-    b.onSpinBranch(*w);
+    EXPECT_TRUE(b.mayIssue(*w, 0));
+    b.onSpinBranch(*w, 5);
     EXPECT_TRUE(w->bows().backedOff);
-    // Fresh back-off: pending delay still zero, so it may issue when its
-    // turn comes (at the back of the queue).
-    EXPECT_TRUE(b.mayIssue(*w));
+    EXPECT_EQ(b.backedOffCount(), 1u);
+    // Fresh back-off: no delay armed yet, so it may issue when its turn
+    // comes (at the back of the queue).
+    EXPECT_TRUE(b.mayIssue(*w, 5));
 }
 
 TEST(Backoff, IssueLeavesBackedOffAndArmsDelay)
 {
     BackoffUnit b(fixedCfg(100));
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
+    b.onSpinBranch(*w, 10);
+    b.onIssue(*w, 20);
     EXPECT_FALSE(w->bows().backedOff);
-    EXPECT_EQ(w->bows().pendingDelay, 100u);
+    EXPECT_EQ(b.backedOffCount(), 0u);
+    EXPECT_EQ(w->bows().delayUntil, 120u);
 }
 
 TEST(Backoff, PendingDelayBlocksNextSpinIteration)
 {
+    // A delay of L armed at cycle c first allows issue at c + L.
     BackoffUnit b(fixedCfg(3));
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);  // leaves backed-off, arms delay = 3
-    b.onSpinBranch(*w);  // hits the SIB again before the delay expired
-    EXPECT_FALSE(b.mayIssue(*w));
-    std::vector<Warp *> resident{w.get()};
-    b.cycle(resident);
-    b.cycle(resident);
-    EXPECT_FALSE(b.mayIssue(*w));
-    b.cycle(resident);  // delay reaches zero
-    EXPECT_TRUE(b.mayIssue(*w));
+    b.onSpinBranch(*w, 10);
+    b.onIssue(*w, 10);       // leaves backed-off, arms delay = 3
+    b.onSpinBranch(*w, 11);  // hits the SIB again before it expired
+    EXPECT_FALSE(b.mayIssue(*w, 11));
+    EXPECT_FALSE(b.mayIssue(*w, 12));
+    EXPECT_TRUE(b.mayIssue(*w, 13));  // c + L
+    EXPECT_TRUE(b.mayIssue(*w, 14));
 }
 
 TEST(Backoff, FifoTicketsOrderBackedOffWarps)
@@ -69,35 +69,50 @@ TEST(Backoff, FifoTicketsOrderBackedOffWarps)
     BackoffUnit b(fixedCfg(0));
     auto w0 = makeWarp(0);
     auto w1 = makeWarp(1);
-    b.onSpinBranch(*w1);
-    b.onSpinBranch(*w0);
+    b.onSpinBranch(*w1, 1);
+    b.onSpinBranch(*w0, 2);
     EXPECT_LT(w1->bows().backoffSeq, w0->bows().backoffSeq);
     // Re-backing-off an already backed-off warp keeps its ticket.
     std::uint64_t ticket = w1->bows().backoffSeq;
-    b.onSpinBranch(*w1);
+    b.onSpinBranch(*w1, 3);
     EXPECT_EQ(w1->bows().backoffSeq, ticket);
+    EXPECT_EQ(b.backedOffCount(), 2u);
+    // Re-entry after leaving the queue takes a fresh ticket behind w0.
+    b.onIssue(*w1, 4);
+    b.onSpinBranch(*w1, 5);
+    EXPECT_GT(w1->bows().backoffSeq, w0->bows().backoffSeq);
 }
 
 TEST(Backoff, DisabledUnitIsTransparent)
 {
     BowsConfig cfg;
     cfg.enabled = false;
+    cfg.delayLimit = 100;
     BackoffUnit b(cfg);
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
+    b.onSpinBranch(*w, 1);
     EXPECT_FALSE(w->bows().backedOff);
-    EXPECT_TRUE(b.mayIssue(*w));
+    b.onIssue(*w, 2);
+    EXPECT_EQ(w->bows().delayUntil, 0u);
+    EXPECT_EQ(b.backedOffCount(), 0u);
+    EXPECT_TRUE(b.mayIssue(*w, 2));
+    // Even a warp already carrying back-off state is never throttled.
+    w->bows().backedOff = true;
+    w->bows().delayUntil = 1000;
+    EXPECT_TRUE(b.mayIssue(*w, 3));
 }
 
 TEST(Backoff, ZeroLimitDeprioritizesWithoutThrottling)
 {
     BackoffUnit b(fixedCfg(0));
+    EXPECT_TRUE(b.deprioritizes());
     auto w = makeWarp(0);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
-    EXPECT_EQ(w->bows().pendingDelay, 0u);
-    b.onSpinBranch(*w);
-    EXPECT_TRUE(b.mayIssue(*w));  // queued last, but never delay-blocked
+    b.onSpinBranch(*w, 7);
+    b.onIssue(*w, 7);
+    EXPECT_EQ(w->bows().delayUntil, 7u);  // armed delay of zero
+    b.onSpinBranch(*w, 8);
+    EXPECT_TRUE(w->bows().backedOff);  // queued last ...
+    EXPECT_TRUE(b.mayIssue(*w, 8));    // ... but never delay-blocked
 }
 
 // -------------------------------------------------- AdaptiveDelayEstimator
@@ -263,9 +278,9 @@ TEST(Backoff, AdaptiveLimitFlowsIntoIssuedWarps)
     b.tickWindow(10);
     b.tickWindow(2000);
     EXPECT_GT(b.delayLimit(), 0u);
-    b.onSpinBranch(*w);
-    b.onIssue(*w);
-    EXPECT_EQ(w->bows().pendingDelay, b.delayLimit());
+    b.onSpinBranch(*w, 2000);
+    b.onIssue(*w, 2001);
+    EXPECT_EQ(w->bows().delayUntil - 2001, b.delayLimit());
 }
 
 }  // namespace

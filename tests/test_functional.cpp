@@ -119,9 +119,12 @@ TEST(Functional, RunForStopsWithinOneSlice)
     Addr counter = gpu.malloc(8);
     Program prog = assemble(kSpinCounter);
 
+    LockTracker locks;
     LaunchState launch;
     launch.prog = &prog;
     launch.grid = Dim3{4, 1, 1};
+    launch.ctaEnd = launch.grid.count();
+    launch.tracker = &locks;
     launch.block = Dim3{128, 1, 1};
     launch.params = {static_cast<Word>(mutex), static_cast<Word>(counter)};
     launch.mem = &gpu.mem();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "src/common/log.hpp"
 #include "src/harness/json_check.hpp"
 #include "src/harness/sweep.hpp"
@@ -294,6 +295,33 @@ TEST(SideOutputs, RunnerAppliesTheBundle)
     EXPECT_EQ(arr.at(1).at("config").at("metrics_interval").asInt(), 500);
     EXPECT_EQ(arr.at(2).at("config").at("metrics_interval").asInt(), 0);
     fs::remove_all(dir);
+}
+
+TEST(SideOutputs, FunctionalPointsGetNoFilePaths)
+{
+    // A bench's run-wide side outputs fan out per cycle-mode point; a
+    // point that runs functionally (set by the bench itself, as
+    // micro_functional does) observes no cycles, so it gets no files.
+    harness::SideOutputs base;
+    base.tracePath = "t.json";
+    base.metricsPath = "m.csv";
+    base.syncReportPath = "s.json";
+    base.profile = true;
+    SweepPoint p;
+    p.id = "SPIN/cycle";
+    const harness::SideOutputs cyc = bench::outputsFor(base, p);
+    EXPECT_EQ(cyc.tracePath, "t.SPIN_cycle.json");
+    EXPECT_EQ(cyc.metricsPath, "m.SPIN_cycle.csv");
+    EXPECT_EQ(cyc.syncReportPath, "s.SPIN_cycle.json");
+
+    p.id = "SPIN/functional";
+    p.cfg.execMode = ExecMode::Functional;
+    const harness::SideOutputs fn = bench::outputsFor(base, p);
+    EXPECT_TRUE(fn.tracePath.empty());
+    EXPECT_TRUE(fn.metricsPath.empty());
+    EXPECT_TRUE(fn.syncReportPath.empty());
+    EXPECT_EQ(fn.sampleInterval(), 0u);
+    EXPECT_TRUE(fn.profile) << "--profile is not a file output";
 }
 
 }  // namespace
