@@ -12,23 +12,29 @@
 /**
  * @file
  * Warp-scheduler policies and the per-unit arbitration rule of Fig. 8.
- * Each SM scheduler unit owns one Scheduler instance. Every cycle the
- * core asks it, through pick(), for its highest-priority eligible warp
- * among the unit's non-backed-off warps; when that finds none, the core
- * serves the backed-off queue in FIFO order (pickBackedOff()). The
- * eligibility test — scoreboard, barrier, back-off delay — stays
- * core-side behind IssueGate, so policies remain pure priority
+ * Each SM scheduler unit owns one Scheduler instance. Every cycle in
+ * which the unit has a ready warp, the core asks it, through pick(), for
+ * its highest-priority eligible warp among the unit's non-backed-off
+ * warps; when that finds none, the core serves the backed-off queue in
+ * FIFO order (pickBackedOff()). Eligibility — scoreboard, barrier,
+ * back-off delay, LD/ST port — stays core-side: the core keeps it as a
+ * per-unit ready set (docs/PERF.md, "Ready set") and hands it over as
+ * UnitMask::issuable plus an IssueGate, so policies remain pure priority
  * functions. A unit holds at most 64 warps, one bit each in UnitMask.
  */
 
 namespace bowsim {
 
 /**
- * Eligibility oracle the core hands to pick(): wraps the per-warp checks
- * that stay core-side (scoreboard, barrier, back-off delay, memory-port
+ * Eligibility oracle handed to pick(): the per-warp checks that stay
+ * core-side (scoreboard, barrier, back-off delay, memory-port
  * availability). eligible() must be side-effect free — arbitration
  * probes warps in priority-search order, not list order — and false for
- * finished and barrier-parked warps.
+ * finished and barrier-parked warps. The core's gate is a bit test
+ * against its ready set (and a finished last-issued warp fails it);
+ * policies still consult the gate rather than trust the mask alone,
+ * because other callers (perfbench's component timings, the tests)
+ * pass a wider mask and a gate that does the filtering.
  */
 class IssueGate {
   public:
@@ -39,15 +45,17 @@ class IssueGate {
 };
 
 /**
- * Per-unit active-warp bitmasks maintained incrementally by the core:
- * bit k describes warps[k] of the unit's resident vector. Policies
- * iterate set bits instead of scanning (and dereferencing) every warp
- * slot. The core always fills them (valid is true); pick() treats an
- * invalid mask as a simulator bug.
+ * Per-unit warp bitmasks handed to pick(): bit k describes warps[k] of
+ * the unit's resident vector. Policies iterate set bits instead of
+ * scanning (and dereferencing) every warp slot. The core always fills
+ * them (valid is true); pick() treats an invalid mask as a simulator
+ * bug.
  */
 struct UnitMask {
-    /** Warp is not parked at a barrier (finished warps leave the
-     *  vector immediately, so every resident warp is live). */
+    /** Warp may be picked. From the core this is the exact ready set
+     *  (every core-side gate passes this cycle); other callers may pass
+     *  a superset and leave the filtering to the gate. Finished warps
+     *  leave the vector immediately, so every resident warp is live. */
     std::uint64_t issuable = 0;
     /** Warp is in the BOWS backed-off state. */
     std::uint64_t backedOff = 0;

@@ -76,6 +76,29 @@ resolve(const Warp &w, const Operand &o)
     return s;
 }
 
+/**
+ * The gate the core hands to pick(): a bit test against one unit's
+ * ready set. The done test keeps a finished last-issued warp, whose
+ * position slot is stale, from reading another warp's bit.
+ */
+class ReadyGate final : public IssueGate {
+  public:
+    ReadyGate(std::uint64_t ready, const std::uint32_t *pos_of)
+        : ready_(ready), posOf_(pos_of)
+    {
+    }
+
+    bool
+    eligible(Warp &w) const override
+    {
+        return !w.done() && ((ready_ >> posOf_[w.id()]) & 1) != 0;
+    }
+
+  private:
+    std::uint64_t ready_;
+    const std::uint32_t *posOf_;
+};
+
 }  // namespace
 
 unsigned
@@ -123,6 +146,8 @@ SmCore::SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch)
     unitResident_.resize(units);
     unitIssuable_.assign(units, 0);
     unitBackedOff_.assign(units, 0);
+    unitSbReady_.assign(units, 0);
+    unitMemNext_.assign(units, 0);
     unitPosOf_.assign(maxWarps_, 0);
     ddos_ = std::make_unique<DdosUnit>(cfg.ddos, maxWarps_);
 
@@ -224,10 +249,8 @@ SmCore::tryLaunchCtas()
             resident_.push_back(warp.get());
             const unsigned unit_id = warp_slot % units;
             auto &unit = unitResident_[unit_id];
-            const std::uint64_t bit = std::uint64_t{1} << unit.size();
             unitPosOf_[warp_slot] = static_cast<std::uint32_t>(unit.size());
-            unitIssuable_[unit_id] |= bit;
-            unitBackedOff_[unit_id] &= ~bit;
+            refreshWarpMask(*warp);
             unit.push_back(warp.get());
             slot.warps.push_back(std::move(warp));
         }
@@ -295,18 +318,45 @@ SmCore::isSib(Pc pc) const
     return false;
 }
 
-bool
-SmCore::eligible(Warp &w) const
+std::uint64_t
+SmCore::readyMask(unsigned u, Cycle now) const
 {
-    return !w.done() && classifyStall(w) == trace::StallCause::Arbitration;
+    std::uint64_t ready = unitIssuable_[u] & unitSbReady_[u];
+    if (!ldst_.canAccept())
+        ready &= ~unitMemNext_[u];
+    // Only backed-off warps carry a deadline.
+    for (std::uint64_t boff = ready & unitBackedOff_[u]; boff != 0;
+         boff &= boff - 1) {
+        const unsigned k = static_cast<unsigned>(std::countr_zero(boff));
+        if (!backoff_.mayIssue(*unitResident_[u][k], now))
+            ready &= ~(std::uint64_t{1} << k);
+    }
+    return ready;
+}
+
+void
+SmCore::checkReadySet(unsigned u, std::uint64_t ready) const
+{
+    const auto &unit = unitResident_[u];
+    for (std::size_t k = 0; k < unit.size(); ++k) {
+        Warp &w = *unit[k];
+        const bool bit = ((ready >> k) & 1) != 0;
+        const trace::StallCause cause = classifyStall(w);
+        if (bit != (cause == trace::StallCause::Arbitration)) {
+            panic("ready set out of step at cycle ", now_, ": SM ", id_,
+                  " unit ", u, " warp ", w.id(), " at PC ", w.stack().pc(),
+                  " has ready bit ", bit ? 1 : 0, " but classifies as ",
+                  trace::toString(cause));
+        }
+    }
 }
 
 unsigned
 SmCore::eligibleWarpCount() const
 {
     unsigned n = 0;
-    for (Warp *w : resident_)
-        n += eligible(*w) ? 1 : 0;
+    for (unsigned u = 0; u < unitResident_.size(); ++u)
+        n += static_cast<unsigned>(std::popcount(readyMask(u, now_)));
     return n;
 }
 
@@ -677,20 +727,16 @@ SmCore::onWarpFinished(Warp &w)
 void
 SmCore::rebuildUnitMask(unsigned u)
 {
-    std::uint64_t issuable = 0;
-    std::uint64_t backed_off = 0;
+    unitIssuable_[u] = 0;
+    unitBackedOff_[u] = 0;
+    unitSbReady_[u] = 0;
+    unitMemNext_[u] = 0;
     const auto &unit = unitResident_[u];
     for (std::size_t k = 0; k < unit.size(); ++k) {
         const Warp &w = *unit[k];
         unitPosOf_[w.id()] = static_cast<std::uint32_t>(k);
-        const std::uint64_t bit = std::uint64_t{1} << k;
-        if (!w.atBarrier())
-            issuable |= bit;
-        if (w.bows().backedOff)
-            backed_off |= bit;
+        refreshWarpMask(w);
     }
-    unitIssuable_[u] = issuable;
-    unitBackedOff_[u] = backed_off;
 }
 
 void
@@ -699,14 +745,15 @@ SmCore::refreshWarpMask(const Warp &w)
     const unsigned u =
         w.id() % static_cast<unsigned>(schedulers_.size());
     const std::uint64_t bit = std::uint64_t{1} << unitPosOf_[w.id()];
-    if (w.atBarrier())
-        unitIssuable_[u] &= ~bit;
-    else
-        unitIssuable_[u] |= bit;
-    if (w.bows().backedOff)
-        unitBackedOff_[u] |= bit;
-    else
-        unitBackedOff_[u] &= ~bit;
+    auto put = [bit](std::uint64_t &m, bool on) {
+        m = on ? (m | bit) : (m & ~bit);
+    };
+    const Instruction &inst = fetch(w.stack().pc());
+    put(unitIssuable_[u], !w.atBarrier());
+    put(unitBackedOff_[u], w.bows().backedOff);
+    put(unitSbReady_[u], w.scoreboard().canIssue(inst));
+    put(unitMemNext_[u],
+        inst.isMemory() && inst.space != MemSpace::Param);
 }
 
 void
@@ -725,13 +772,17 @@ SmCore::cycle(Cycle now)
     now_ = now;
     tryLaunchCtas();
 
-    // 1. Memory and ALU writebacks due this cycle.
+    // 1. Memory and ALU writebacks due this cycle. Each release may
+    //    clear the warp's scoreboard gate; a finished warp has left its
+    //    unit (its position slot is stale).
     const bool tracing = tracer_.enabled();
     memCompletions_.clear();
     ldst_.cycle(now, memCompletions_);
     for (const MemCompletion &c : memCompletions_) {
         if (c.inst->dst.valid()) {
             c.warp->scoreboard().release(*c.inst);
+            if (!c.warp->done())
+                refreshWarpMask(*c.warp);
             if (tracing) {
                 tracer_.emit(now, id_,
                              static_cast<std::int32_t>(c.warp->id()),
@@ -745,6 +796,8 @@ SmCore::cycle(Cycle now)
         if (!due.empty()) {
             for (const WbEvent &ev : due) {
                 ev.warp->scoreboard().release(*ev.inst);
+                if (!ev.warp->done())
+                    refreshWarpMask(*ev.warp);
                 if (tracing) {
                     tracer_.emit(now, id_,
                                  static_cast<std::int32_t>(ev.warp->id()),
@@ -764,30 +817,36 @@ SmCore::cycle(Cycle now)
     stats_.delayLimitCycleSum += backoff_.delayLimit();
 
     // 3. Issue: one instruction per scheduler unit per cycle (Fig. 8
-    //    arbitration: the base policy's pick() over the non-backed-off
-    //    warps, then the backed-off queue in FIFO order).
+    //    arbitration: the base policy's pick() over the ready
+    //    non-backed-off warps, then the backed-off queue in FIFO order).
+    //    The ready set is taken per unit, after the earlier units'
+    //    issues, which may fill the LD/ST port or release a barrier.
     const unsigned units = static_cast<unsigned>(schedulers_.size());
     const bool deprio = backoff_.deprioritizes();
     bool issued_any = false;
     for (unsigned u = 0; u < units; ++u) {
-        if (unitResident_[u].empty())
+        const std::uint64_t ready = readyMask(u, now);
+        if (stallAccounting_)
+            checkReadySet(u, ready);
+        if (ready == 0)
             continue;
         Scheduler &sched = *schedulers_[u];
         const std::vector<Warp *> &unit = unitResident_[u];
         UnitMask mask;
         mask.valid = true;
-        mask.issuable = unitIssuable_[u];
+        mask.issuable = ready;
         mask.backedOff = unitBackedOff_[u];
-        Warp *winner = sched.pick(unit, mask, now, deprio, *this);
+        const ReadyGate gate(ready, unitPosOf_.data());
+        Warp *winner = sched.pick(unit, mask, now, deprio, gate);
         if (!winner && deprio)
-            winner = pickBackedOff(unit, mask, *this);
+            winner = pickBackedOff(unit, mask, gate);
         if (winner) {
             issue(*winner, now);
             if (stallAccounting_)
                 ++stats_.unitIssues[id_ * schedulers_.size() + u];
             // A finished winner left the vectors (masks rebuilt); a
-            // live one may have entered a barrier or changed back-off
-            // state during execution.
+            // live one has a new PC and may have reserved a register,
+            // entered a barrier or changed back-off state.
             if (!winner->done())
                 refreshWarpMask(*winner);
             sched.notifyIssued(winner, now);

@@ -128,7 +128,7 @@ void executeDataPath(LaunchState &launch, Warp &w, const Instruction &inst,
                      syncprof::SyncProf sync,
                      std::array<Addr, kWarpSize> &addrs);
 
-class SmCore : private IssueGate {
+class SmCore {
   public:
     /** Statistics accumulate into launch.stats. */
     SmCore(unsigned id, const GpuConfig &cfg, LaunchState &launch);
@@ -177,7 +177,8 @@ class SmCore : private IssueGate {
     // --- each cycle; see src/metrics/sampler.cpp) ---------------------
     /** Resident unfinished warps right now. */
     std::size_t residentWarps() const { return resident_.size(); }
-    /** Resident warps passing every issue gate this cycle. */
+    /** Resident warps passing every issue gate this cycle (the
+     *  popcount of every unit's readyMask()). */
     unsigned eligibleWarpCount() const;
     /** Resident warps the spin-detection mechanism flags as spinning. */
     unsigned spinningWarpCount() const;
@@ -203,8 +204,6 @@ class SmCore : private IssueGate {
     void tryLaunchCtas();
     void retireFinishedCtas();
     void checkBarrier(Cta &cta);
-    /** IssueGate: all core-side per-warp issue checks (side-effect free). */
-    bool eligible(Warp &w) const override;
     void issue(Warp &w, Cycle now);
     bool isSib(Pc pc) const;
     /** Routes a BOWS/DDOS transition to the sync profiler. */
@@ -212,8 +211,9 @@ class SmCore : private IssueGate {
 
     /**
      * The first blocking condition of a resident, not-done warp at now_,
-     * in StallCause order; Arbitration when every gate passes. eligible()
-     * is exactly `!done && classifyStall == Arbitration`.
+     * in StallCause order; Arbitration when every gate passes. A warp's
+     * readyMask() bit is set exactly when this returns Arbitration (the
+     * ready-set oracle checks it whenever stall accounting is on).
      */
     trace::StallCause
     classifyStall(Warp &w) const
@@ -240,9 +240,20 @@ class SmCore : private IssueGate {
     void accountCycles(Cycle now, std::uint64_t n);
     /** Stall attribution of @p n cycles + unit-level stall events. */
     void recordStallCycles(Cycle now, std::uint64_t n);
+    /**
+     * Unit @p u's ready set at @p now (bit k = position k): the warps
+     * classifyStall() puts in Arbitration. The stored masks cover the
+     * barrier and scoreboard gates; the LD/ST port and back-off
+     * deadlines are tested here, against the live unit state.
+     */
+    std::uint64_t readyMask(unsigned u, Cycle now) const;
+    /** The ready-set oracle: panics when a warp of unit @p u has a
+     *  @p ready bit that disagrees with classifyStall(). */
+    void checkReadySet(unsigned u, std::uint64_t ready) const;
     /** Recomputes one unit's masks and positions from its vector. */
     void rebuildUnitMask(unsigned u);
-    /** Re-derives a resident warp's barrier/backed-off mask bits. */
+    /** Re-derives a resident warp's bit in each of its unit's masks
+     *  (at its unitPosOf_ position) from its current state. */
     void refreshWarpMask(const Warp &w);
 
     /** Hot-path instruction fetch. Launch-validated programs always have
@@ -273,13 +284,17 @@ class SmCore : private IssueGate {
     std::vector<std::vector<Warp *>> unitResident_;
 
     /**
-     * Active-warp bitmasks mirroring unitResident_ (bit k = position k
-     * of unit u's vector): not-at-barrier and BOWS backed-off. Kept in
-     * sync at warp launch/finish, barrier entry/exit, and back-off
-     * transitions. A unit holds at most kMaxWarpsPerUnit warps.
+     * Per-warp bitmasks mirroring unitResident_ (bit k = position k of
+     * unit u's vector): not-at-barrier, BOWS backed-off, next
+     * instruction passes the scoreboard, and next instruction needs the
+     * LD/ST port. Rewritten at warp launch/finish, after each issue,
+     * at barrier exit and at every scoreboard release (docs/PERF.md,
+     * "Ready set"). A unit holds at most kMaxWarpsPerUnit warps.
      */
     std::vector<std::uint64_t> unitIssuable_;
     std::vector<std::uint64_t> unitBackedOff_;
+    std::vector<std::uint64_t> unitSbReady_;
+    std::vector<std::uint64_t> unitMemNext_;
     /** Warp slot -> position inside its unit's resident vector. */
     std::vector<std::uint32_t> unitPosOf_;
 
@@ -308,7 +323,7 @@ class SmCore : private IssueGate {
     unsigned validCtas_ = 0;
     /** Valid CTAs with no live warps, awaiting drain + retirement. */
     unsigned drainedCtas_ = 0;
-    /** Current cycle, for eligibility checks reached via IssueGate. */
+    /** Current cycle, for classifyStall() and the metrics gauges. */
     Cycle now_ = 0;
     /** Lifetime issued-instruction count (metrics gauge source). */
     std::uint64_t issuedInstructions_ = 0;
@@ -316,7 +331,8 @@ class SmCore : private IssueGate {
     bool cawaAccounting_ = false;
     /** Launch-wide event sink handle (null sink unless a trace is on). */
     trace::Tracer tracer_;
-    /** Per-cycle stall attribution into stats.stallCounts (gated). */
+    /** Per-cycle stall attribution into stats.stallCounts, and the
+     *  ready-set oracle (gated). */
     bool stallAccounting_ = false;
     /** Per-cycle spinning-warp attribution (GpuConfig::collectSpinCycles). */
     bool spinAccounting_ = false;

@@ -57,8 +57,8 @@ enum class EventKind : std::uint16_t {
 /**
  * Why a warp (or a whole scheduler unit) could not issue this cycle.
  * The blocking causes are listed in the order SmCore::classifyStall()
- * checks them; a warp counts against the first that holds, and
- * SmCore::eligible() is "not done and classified Arbitration".
+ * checks them; a warp counts against the first that holds, and a warp
+ * is in its unit's ready set exactly when it is classified Arbitration.
  */
 enum class StallCause : std::uint8_t {
     Issued,        ///< not stalled: the warp issued this cycle

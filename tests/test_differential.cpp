@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "src/harness/litmus.hpp"
 #include "src/kernels/atm.hpp"
 #include "src/kernels/registry.hpp"
 #include "src/metrics/sampler.hpp"
@@ -27,6 +28,9 @@
  *    idle-dominated two-account ATM shape, must produce identical
  *    memory, cycles, outcomes, memory-system traffic, energy and stall
  *    accounting with idleSkip on and off.
+ *  - Ready set: the core's per-unit ready bitmasks (docs/PERF.md,
+ *    "Ready set") must equal the stall classifier's Arbitration set at
+ *    every arbitration, under every scheduler and BOWS mode.
  */
 
 namespace bowsim {
@@ -145,16 +149,16 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ObserverEffect,
                          [](const auto &info) { return info.param; });
 
 /**
- * Expects a run with the idle-cycle fast-forward (@p on) and one
- * without (@p off), both with the stall breakdown collected, to agree
- * on everything the simulation reports.
+ * Expects two runs of one point (@p on with the execution knob under
+ * test, @p off without) to agree on everything the simulation reports
+ * apart from the stall breakdown.
  */
 void
-expectSkipInvisible(const RunResult &on, const RunResult &off,
-                    const std::string &label)
+expectSameResults(const RunResult &on, const RunResult &off,
+                  const std::string &label)
 {
     ASSERT_EQ(on.digest, off.digest)
-        << label << ": skip changed the final memory image";
+        << label << ": the final memory image differs";
     ASSERT_EQ(on.stats.cycles, off.stats.cycles) << label;
     EXPECT_EQ(on.stats.warpInstructions, off.stats.warpInstructions)
         << label;
@@ -179,6 +183,18 @@ expectSkipInvisible(const RunResult &on, const RunResult &off,
     EXPECT_EQ(on.stats.mem.icntPackets, off.stats.mem.icntPackets)
         << label;
     EXPECT_EQ(on.stats.energyNj, off.stats.energyNj) << label;
+}
+
+/**
+ * Expects a run with the idle-cycle fast-forward (@p on) and one
+ * without (@p off), both with the stall breakdown collected, to agree
+ * on everything the simulation reports.
+ */
+void
+expectSkipInvisible(const RunResult &on, const RunResult &off,
+                    const std::string &label)
+{
+    ASSERT_NO_FATAL_FAILURE(expectSameResults(on, off, label));
     ASSERT_TRUE(on.stats.hasStallBreakdown());
     ASSERT_TRUE(off.stats.hasStallBreakdown());
     const auto on_stalls = on.stats.stallTotals();
@@ -310,6 +326,84 @@ TEST(BackoffIdleSkip, AtmFastForwardIsInvisible)
         r.digest = gpu.mem().digest();
     }
     expectSkipInvisible(runs[0], runs[1], "two-account ATM");
+}
+
+TEST(ReadySet, MatchesClassifyStall)
+{
+    // With the stall breakdown on, the core checks before every unit's
+    // arbitration that each resident warp's ready bit equals
+    // classifyStall() == Arbitration, and panics on a mismatch. Each
+    // breakdown run below is so checked cycle by cycle, and must report
+    // what the same point reports without the breakdown. RED covers
+    // barrier exits; HT fills the LD/ST port (PipelineBusy).
+    const SchedulerKind scheds[] = {SchedulerKind::LRR, SchedulerKind::GTO,
+                                    SchedulerKind::CAWA,
+                                    SchedulerKind::TwoLevel};
+    std::uint64_t ht_pipeline_busy = 0;
+    for (const char *name : {"ATM", "HT", "TSP", "RED"}) {
+        for (SchedulerKind sched : scheds) {
+            for (bool bows : {false, true}) {
+                GpuConfig cfg = diffConfig(sched, bows);
+                const RunResult plain = runKernel(name, cfg);
+                cfg.collectStallBreakdown = true;
+                const RunResult checked = runKernel(name, cfg);
+                const std::string label =
+                    std::string(name) + " under " + toString(sched) +
+                    (bows ? "+BOWS" : "");
+                ASSERT_NO_FATAL_FAILURE(
+                    expectSameResults(checked, plain, label));
+                if (std::string(name) == "HT" &&
+                    sched == SchedulerKind::GTO && !bows) {
+                    ht_pipeline_busy = checked.stats.stallTotals()
+                        [static_cast<unsigned>(
+                            trace::StallCause::PipelineBusy)];
+                }
+            }
+        }
+    }
+    EXPECT_GT(ht_pipeline_busy, 0u)
+        << "HT under GTO no longer fills the LD/ST port";
+
+    // Litmus: the matrix's long pole (TwoLevel over the two-device link)
+    // and a one-device TAS cell, both spinning to the watchdog.
+    struct Cell {
+        sync::Primitive primitive;
+        SchedulerKind scheduler;
+        harness::OccupancyLevel occupancy;
+        unsigned devices;
+        harness::SyncOutcome outcome;
+    };
+    const Cell cells[] = {
+        {sync::Primitive::BackoffLock, SchedulerKind::TwoLevel,
+         harness::OccupancyLevel::Exact, 2,
+         harness::SyncOutcome::Livelocked},
+        {sync::Primitive::TasLock, SchedulerKind::GTO,
+         harness::OccupancyLevel::Over, 1,
+         harness::SyncOutcome::Livelocked},
+    };
+    for (const Cell &c : cells) {
+        harness::LitmusOptions opts = harness::defaultLitmusOptions();
+        opts.primitives = {c.primitive};
+        opts.schedulers = {c.scheduler};
+        opts.bowsModes = {false};
+        opts.occupancies = {c.occupancy};
+        opts.devices = {c.devices};
+        const std::vector<harness::LitmusCell> built =
+            harness::buildLitmusCells(opts);
+        ASSERT_EQ(built.size(), 1u);
+        RunResult runs[2];
+        for (bool breakdown : {false, true}) {
+            GpuConfig cfg = built[0].cfg;
+            cfg.collectStallBreakdown = breakdown;
+            Gpu gpu(cfg);
+            const harness::LitmusCellResult r =
+                harness::runLitmusCell(built[0], gpu);
+            EXPECT_EQ(r.outcome, c.outcome) << built[0].id;
+            runs[breakdown ? 1 : 0] = RunResult{gpu.mem().digest(), r.stats};
+        }
+        ASSERT_NO_FATAL_FAILURE(
+            expectSameResults(runs[1], runs[0], built[0].id));
+    }
 }
 
 TEST(MetricsEquivalence, SampledSeriesIdenticalAcrossExecutionModes)

@@ -279,6 +279,22 @@ class RandomGate final : public IssueGate {
     const Warp *finished = nullptr;
 };
 
+/**
+ * The core's calling convention: pick() gets the exact ready set as
+ * mask.issuable and this gate, a bit test against the same set. A
+ * finished warp's position slot is stale, so the done test comes first.
+ */
+class ReadyBitGate final : public IssueGate {
+  public:
+    bool
+    eligible(Warp &w) const override
+    {
+        return !w.done() && ((ready >> posOf[w.id()]) & 1) != 0;
+    }
+    std::uint64_t ready = 0;
+    std::vector<std::uint32_t> posOf;
+};
+
 /** The arbitration pick() replaces: order(), backed-off warps moved
  *  behind the rest FIFO by ticket, then the first eligible warp. */
 Warp *
@@ -312,6 +328,9 @@ TEST_P(PickMatchesOrder, AllPolicies)
         return static_cast<unsigned>(rng() % n);
     };
     constexpr unsigned kMaxId = 64;
+    // Last-issued warps the greedy rule must pass over: finished,
+    // parked at a barrier, or backed off under deprioritization.
+    unsigned last_finished = 0, last_at_barrier = 0, last_backed_off = 0;
     for (unsigned trial = 0; trial < 200; ++trial) {
         // One unit's residents: distinct ids in arbitrary order, ages
         // ascending along the vector (the core's residency order).
@@ -353,12 +372,27 @@ TEST_P(PickMatchesOrder, AllPolicies)
         // A warp that already finished: out of the vector, yet it may
         // still be the last-issued one.
         Warp finished(ids[n], 0, 0, ++age, 1, 1, kFullMask);
+        finished.stack().exitLanes(kFullMask);
         RandomGate gate;
         gate.finished = &finished;
         for (unsigned id = 0; id < kMaxId; ++id)
             gate.pass.push_back(below(3) != 0);
         const Cycle now = rng() % 100000;
         const bool deprio = below(2) == 0;
+
+        // The same eligibility as the core hands it over: the ready set
+        // in the mask, a bit test as the gate. The finished warp's stale
+        // slot points at a position (ready or not) of a live warp.
+        ReadyBitGate bit_gate;
+        bit_gate.posOf.assign(kMaxId, 0);
+        for (unsigned k = 0; k < n; ++k) {
+            bit_gate.posOf[ids[k]] = k;
+            if (gate.eligible(*warps[k]))
+                bit_gate.ready |= std::uint64_t{1} << k;
+        }
+        bit_gate.posOf[finished.id()] = below(n);
+        UnitMask ready_mask = mask;
+        ready_mask.issuable = bit_gate.ready;
 
         std::vector<std::unique_ptr<Scheduler>> policies;
         policies.push_back(std::make_unique<LrrScheduler>());
@@ -370,10 +404,18 @@ TEST_P(PickMatchesOrder, AllPolicies)
         for (auto &sched : policies) {
             // Up to two earlier issues: residents or the finished warp
             // (TwoLevel keeps the latter's group active).
+            Warp *last = nullptr;
             for (unsigned i = below(3); i > 0; --i) {
                 const unsigned k = below(n + 1);
-                sched->notifyIssued(k < n ? warps[k] : &finished, now - 1);
+                last = k < n ? warps[k] : &finished;
+                sched->notifyIssued(last, now - 1);
             }
+            if (last == &finished)
+                ++last_finished;
+            else if (last && last->atBarrier())
+                ++last_at_barrier;
+            else if (last && deprio && last->bows().backedOff)
+                ++last_backed_off;
             Warp *got = sched->pick(warps, mask, now, deprio, gate);
             if (!got && deprio)
                 got = pickBackedOff(warps, mask, gate);
@@ -382,8 +424,19 @@ TEST_P(PickMatchesOrder, AllPolicies)
                 << sched->name() << ", trial " << trial << ", " << n
                 << " warps, deprioritize=" << deprio
                 << " (replay with BOWSIM_TEST_SEED=" << seed << ")";
+            Warp *got_ready =
+                sched->pick(warps, ready_mask, now, deprio, bit_gate);
+            if (!got_ready && deprio)
+                got_ready = pickBackedOff(warps, ready_mask, bit_gate);
+            ASSERT_EQ(got_ready, want)
+                << sched->name() << " on the ready set, trial " << trial
+                << ", " << n << " warps, deprioritize=" << deprio
+                << " (replay with BOWSIM_TEST_SEED=" << seed << ")";
         }
     }
+    EXPECT_GT(last_finished, 0u);
+    EXPECT_GT(last_at_barrier, 0u);
+    EXPECT_GT(last_backed_off, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PickMatchesOrder,
